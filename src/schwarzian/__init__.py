@@ -14,7 +14,6 @@ from .algebra import (
     poly_gcd,
     poly_resultant,
     poly_roots,
-    rational_normalize,
 )
 from .cubic import (
     criticality_discriminant,

@@ -229,6 +229,28 @@ def poly_roots(p: Poly, tol: float = 1e-9):
     return rts
 
 
+def root_clusters(p: Poly):
+    """Distinct roots of p as (center, multiplicity) pairs, in poly_roots order.
+
+    A root joins the first cluster whose first root lies within relative
+    distance 1e-4, and the center is the cluster mean: a numerically split
+    multiple root recovers its center to near machine precision.  The radius
+    must absorb the splitting of a numerical double root, which can reach
+    ~1e-5 for badly scaled octics.
+    """
+    if p.degree < 1:
+        return []
+    clusters = []
+    for r in poly_roots(p):
+        for cl in clusters:
+            if abs(r - cl[0]) <= 1e-4 * (1.0 + abs(cl[0])):
+                cl.append(r)
+                break
+        else:
+            clusters.append([r])
+    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+
+
 def poly_resultant(p: Poly, q: Poly):
     """Sylvester-matrix determinant; zero iff p and q share a root."""
     if p.is_zero or q.is_zero:
@@ -416,15 +438,6 @@ def _as_rational(f):
     return RationalMap(Poly((complex(f),)), Poly.one(), reduce=False)
 
 
-def rational_normalize(num, den) -> RationalMap:
-    """Divide out the approximate GCD and rescale the denominator monic."""
-    num = _as_poly(num)
-    den = _as_poly(den)
-    if num.is_zero and den.is_zero:
-        raise DegenerateInput("0/0 is not a rational map")
-    return RationalMap(num, den)
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Finitely many Taylor coefficients about a base point.
@@ -555,16 +568,17 @@ def _to_zero_one_inf(z1, z2, z3):
     return Mobius(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
 
-def _points_distinct(pts, tol=1e-12):
-    for i in range(len(pts)):
-        for k in range(i + 1, len(pts)):
-            p, q = pts[i], pts[k]
+def require_distinct(points, what, tol=1e-12):
+    """Raise DegenerateInput unless the Riemann-sphere points are pairwise
+    distinct: no two INF, and finite p, q with |p - q| > tol * (1 + |p|)."""
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
             if is_inf(p) or is_inf(q):
-                if is_inf(p) and is_inf(q):
-                    return False
-            elif abs(complex(p) - complex(q)) <= tol:
-                return False
-    return True
+                collide = is_inf(p) and is_inf(q)
+            else:
+                collide = abs(complex(p) - complex(q)) <= tol * (1.0 + abs(complex(p)))
+            if collide:
+                raise DegenerateInput(f"{what} must be pairwise distinct")
 
 
 def mobius_from_triples(src, dst) -> Mobius:
@@ -573,8 +587,8 @@ def mobius_from_triples(src, dst) -> Mobius:
     dst = tuple(dst)
     if len(src) != 3 or len(dst) != 3:
         raise DegenerateInput("need exactly three source and target points")
-    if not _points_distinct(src) or not _points_distinct(dst):
-        raise DegenerateInput("triple points must be pairwise distinct")
+    require_distinct(src, "triple points")
+    require_distinct(dst, "triple points")
     return _to_zero_one_inf(*dst).inverse().compose(_to_zero_one_inf(*src))
 
 

@@ -20,7 +20,13 @@ from .cubic import (
     is_regular_tetrahedron,
     ratio_orbit,
 )
-from .errors import DegenerateInput, ObstructionNonzero, PoleTooHigh, SchwarzianError
+from .errors import (
+    DegenerateInput,
+    NoSolutionFound,
+    ObstructionNonzero,
+    PoleTooHigh,
+    SchwarzianError,
+)
 from .fiber import local_primitive, reconstruct_rational, solve_fiber
 from .jsonio import (
     decode_complex,
@@ -84,17 +90,6 @@ def cmd_schwarzian(payload, args):
     }
 
 
-def _config_from_phi(phi, order):
-    poles, _ = pole_report(phi, order=order)
-    points = []
-    params = []
-    for g in poles:
-        points.append(g.pole)
-        # a_1 = -(3/2) A at a simple critical point.
-        params.append(-2.0 / 3.0 * g.residue_and_tail[0])
-    return CriticalConfiguration(tuple(points), tuple(params))
-
-
 def cmd_check(payload, args):
     _reject_unknown(payload, {"phi", "mode", "point", "d", "variant"})
     phi = decode_rational(_require(payload, "phi"))
@@ -130,11 +125,11 @@ def cmd_check(payload, args):
         return out
     if mode == "rational":
         variant = payload.get("variant", "AllL_E123")
-        config = _config_from_phi(phi, args.order)
+        config = CriticalConfiguration.from_phi(phi)
         rec = check_rational_criterion(config, variant)
         return rec.to_json()
     if mode == "polynomial":
-        config = _config_from_phi(phi, args.order)
+        config = CriticalConfiguration.from_phi(phi)
         _, rec = check_polynomial_criterion(config.points)
         return rec.to_json()
     if mode == "merom":
@@ -167,8 +162,7 @@ def cmd_solve(payload, args):
     if len(points) == 4:
         out["tetrahedron"] = is_regular_tetrahedron(points)
     if report.warning:
-        print("warning: no Newton restart converged", file=sys.stderr)
-        raise SystemExit(EXIT_SOLVER)
+        raise NoSolutionFound("no Newton restart converged")
     return out
 
 
@@ -266,8 +260,6 @@ def main(argv=None):
     except (DegenerateInput, PoleTooHigh, ObstructionNonzero) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except SystemExit as exc:
-        return int(exc.code)
     except SchwarzianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -14,12 +14,12 @@ from .algebra import (
     RationalMap,
     is_inf,
     mobius_from_triples,
-    poly_roots,
+    require_distinct,
     riemann_close,
 )
 from .errors import DegenerateInput
 from .fiber import NormalizedMapCoords
-from .quaddiff import numerator_wronskian
+from .quaddiff import critical_points
 
 # R(-j^2) = {(1 + i sqrt 3)/2, (1 - i sqrt 3)/2}, the tetrahedral cross ratios.
 TETRAHEDRAL_RATIOS = (
@@ -32,15 +32,7 @@ def _check_four(points):
     pts = tuple(points)
     if len(pts) != 4:
         raise DegenerateInput("need exactly four points")
-    for i in range(4):
-        for k in range(i + 1, 4):
-            p, q = pts[i], pts[k]
-            if is_inf(p) and is_inf(q):
-                raise DegenerateInput("points must be pairwise distinct")
-            if not is_inf(p) and not is_inf(q) and abs(
-                complex(p) - complex(q)
-            ) <= 1e-12 * (1.0 + abs(complex(p))):
-                raise DegenerateInput("points must be pairwise distinct")
+    require_distinct(pts, "points")
     return pts
 
 
@@ -172,32 +164,17 @@ def _induced_permutation(m: Mobius, points, tol=1e-6):
     return tuple(perm)
 
 
-def critical_points_of(f: RationalMap, tol=1e-9):
-    w = numerator_wronskian(f)
-    if w.degree < 1:
-        return []
-    return poly_roots(w, tol)
-
-
 def lift_correspondence(f: RationalMap, samples: int = 20):
     """The bijection M <-> N between the four-groups of critical points and
     critical values of a cubic f, with f o M = N o f.
 
     Returns three (M, N) pairs, each verified at sample points in the chordal
     metric (sup residual <= 1e-7)."""
-    crit = critical_points_of(f)
+    crit = critical_points(f)
     if len(crit) != 4:
         raise DegenerateInput("need four distinct finite critical points")
     values = [f(c) for c in crit]
-    for i in range(4):
-        for k in range(i + 1, 4):
-            vi, vk = values[i], values[k]
-            if is_inf(vi) and is_inf(vk):
-                raise DegenerateInput("critical values collide")
-            if not is_inf(vi) and not is_inf(vk) and abs(vi - vk) <= 1e-8 * (
-                1.0 + abs(vi)
-            ):
-                raise DegenerateInput("critical values collide")
+    require_distinct(values, "critical values", tol=1e-8)
     ms = four_group(crit)
     ns = four_group(values)
     pairs = []

@@ -14,13 +14,14 @@ from .algebra import (
     TruncatedSeries,
     poly_discriminant,
     poly_resultant,
+    require_distinct,
     series_inv,
     series_mul,
 )
-from .errors import DegenerateInput, ObstructionNonzero
+from .errors import DegenerateInput
+from .primitivity import g_recursion
 from .quaddiff import laurent_at
 
-OBSTRUCTION_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-6
 ILL_CONDITION_CAP = 1e10
@@ -83,29 +84,14 @@ class FiberSolveReport:
 def local_g(d: int, q: TruncatedSeries, order: int) -> TruncatedSeries:
     """Solve 2(d-1)g' - 2zg'' = qg for g = 1 + c_1 z + ... + c_{order-1} z^{order-1}.
 
-    Recursion -k_n c_n = a_n + a_{n-1} c_1 + ... + a_1 c_{n-1} with
-    k_n = 2n(n-d); at the resonant index n = d the right side must vanish
-    (ObstructionNonzero otherwise) and c_d is set to 0.
+    This is g_recursion with delta = d: at the resonant index n = d the right
+    side must vanish (ObstructionNonzero otherwise) and c_d is set to 0.
     """
     if d < 1:
         raise DegenerateInput("d must be >= 1")
     if order < d + 1:
         raise DegenerateInput("order must be >= d + 1")
-    a = list(q.coeffs)
-    scale = 1.0 + max((abs(x) for x in a), default=0.0)
-    c = [1.0 + 0j]
-    for n in range(1, order):
-        rhs = 0j
-        for j in range(n):
-            if n - j - 1 < len(a):
-                rhs += a[n - j - 1] * c[j]
-        if n == d:
-            if abs(rhs) > OBSTRUCTION_TOL * scale:
-                raise ObstructionNonzero(rhs)
-            c.append(0j)
-        else:
-            c.append(-rhs / (2.0 * n * (n - d)))
-    return TruncatedSeries(base=q.base, coeffs=tuple(c))
+    return TruncatedSeries(base=q.base, coeffs=tuple(g_recursion(d, q.coeffs, order)))
 
 
 def local_primitive(phi: RationalMap, c, order: int) -> TruncatedSeries:
@@ -262,10 +248,7 @@ def reconstruct_rational(points, attempts: int | None = None, seed: int = 42):
     """All degree-d rational maps (mod postcomposition) with the given 2d-2
     simple critical points, via the Wronskian fiber."""
     pts = [complex(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= 1e-12 * (1.0 + abs(pts[i])):
-                raise DegenerateInput("critical points must be pairwise distinct")
+    require_distinct(pts, "critical points")
     if len(pts) % 2 != 0 or not pts:
         raise DegenerateInput("need an even number 2d-2 of critical points")
     target = Poly.from_roots(pts)

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, RationalMap, TruncatedSeries, rational_normalize, series_inv, series_mul
-from .errors import DegenerateInput
-from .quaddiff import LaurentData, e_sums
+from .algebra import Poly, RationalMap, TruncatedSeries, require_distinct, series_inv, series_mul
+from .errors import DegenerateInput, ObstructionNonzero
+from .quaddiff import LaurentData, e_sums, pole_report
 
 RESIDUAL_TOL = 1e-8
+OBSTRUCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,16 @@ class CriticalConfiguration:
         object.__setattr__(self, "params", prm)
         if len(pts) != len(prm):
             raise DegenerateInput("points and params must have equal length")
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[k]) <= 1e-12 * (1.0 + abs(pts[i])):
-                    raise DegenerateInput("critical points must be pairwise distinct")
+        require_distinct(pts, "critical points")
+
+    @classmethod
+    def from_phi(cls, phi: RationalMap) -> CriticalConfiguration:
+        """The poles of phi with A = -(2/3) a_1, since a_1 = -(3/2) A at a
+        simple critical point.  Exact division makes a_1 the same at every
+        expansion order, so order 1 suffices."""
+        poles, _ = pole_report(phi, order=1)
+        return cls(tuple(g.pole for g in poles),
+                   tuple(-2.0 / 3.0 * g.residue_and_tail[0] for g in poles))
 
 
 class HolonomyClass:
@@ -111,24 +118,35 @@ def y_polynomial(d: int, x):
     return -det0 / slope
 
 
-def _recursion_coeffs(delta, a, n_terms):
-    """c_1..c_{n_terms} from -k_n c_n = a_n + a_{n-1} c_1 + ... + a_1 c_{n-1},
-    k_n = 2n(n - delta).  Requires k_n != 0 for every n used."""
+def g_recursion(delta: int, a, n_terms: int):
+    """c_0 = 1 and c_1..c_{n_terms-1} of the series g solving
+    2(delta-1)g' - 2zg'' = qg, q = a_1 + a_2 z + ... (a[0] is a_1).
+
+    Recursion -k_n c_n = a_n + a_{n-1} c_1 + ... + a_1 c_{n-1} with
+    k_n = 2n(n - delta).  At the resonant index n = delta the right side must
+    vanish relative to a_1..a_delta, the coefficients entering that equation
+    (ObstructionNonzero otherwise), and c_delta is set to 0.
+    """
     c = [1.0 + 0j]
-    for n in range(1, n_terms + 1):
+    for n in range(1, n_terms):
         rhs = 0j
         for j in range(n):
             if n - j - 1 < len(a):
                 rhs += a[n - j - 1] * c[j]
-        kn = 2.0 * n * (n - delta)
-        c.append(-rhs / kn)
+        if n == delta:
+            scale = 1.0 + max((abs(x) for x in a[:delta]), default=0.0)
+            if abs(rhs) > OBSTRUCTION_TOL * scale:
+                raise ObstructionNonzero(rhs)
+            c.append(0j)
+        else:
+            c.append(-rhs / (2.0 * n * (n - delta)))
     return c
 
 
 def series_obstruction(d: int, q: TruncatedSeries):
     """The log coefficient b_hat_d of the always-solvable branch.
 
-    Solves the recursion with delta = -d (all k_n nonzero), inverts g^2 as a
+    Solves the g-recursion with delta = -d (all k_n nonzero), inverts g^2 as a
     series and returns its zeta^d coefficient; vanishes exactly when the
     banded determinant does.
     """
@@ -136,8 +154,7 @@ def series_obstruction(d: int, q: TruncatedSeries):
         raise DegenerateInput("d must be >= 1")
     if q.order < d + 1:
         raise DegenerateInput("series must carry at least d+1 tail coefficients")
-    a = list(q.coeffs)
-    g = _recursion_coeffs(-d, a, d)
+    g = g_recursion(-d, q.coeffs, d + 1)
     g2 = series_mul(g, g, d + 1)
     inv = series_inv(g2, d + 1)
     return inv[d]
@@ -197,7 +214,7 @@ def build_phi(config: CriticalConfiguration) -> RationalMap:
             if j != i:
                 term = term * f * f
         num = num + term
-    return rational_normalize(-1.5 * num, den)
+    return RationalMap(-1.5 * num, den)
 
 
 @dataclass
@@ -309,10 +326,7 @@ def merom_generator(points, residues, G: Poly) -> RationalMap:
     res = [complex(r) for r in residues]
     if len(pts) != len(res):
         raise DegenerateInput("points and residues must have equal length")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= 1e-12 * (1.0 + abs(pts[i])):
-                raise DegenerateInput("critical points must be pairwise distinct")
+    require_distinct(pts, "critical points")
     factors = [Poly((-c, 1.0)) for c in pts]
     prod_all = Poly.one()
     den = Poly.one()

@@ -1,12 +1,12 @@
 """Schwarzian derivatives and the pole data of quadratic differentials.
 
 The Schwarzian of f = n/d is computed by exact rational calculus through the
-Wronskian W = n'd - nd':
+Wronskian W = n'd - nd'.  Since f' = W/d^2 and W'd' - Wd'' = d(n''d' - n'd''),
 
-    S_f = [ d*(W''W - (3/2)W'^2) + 2WW'd' - 2W^2 d'' ] / (W^2 d)
+    S_f = [ W''W - (3/2)W'^2 + 2W(n''d' - n'd'') ] / W^2
 
-and the denominator factor d divides the bracket exactly, so the reduced
-result has denominator W^2 up to common factors at multiple critical points.
+with no division by d, so the reduced result has denominator W^2 up to
+common factors at multiple critical points.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (
-    INF,
-    Poly,
-    RationalMap,
-    is_inf,
-    rational_normalize,
-)
+from .algebra import Poly, RationalMap, poly_roots, root_clusters
 from .errors import DegenerateInput, PoleTooHigh
 
 
@@ -76,31 +70,11 @@ def schwarzian(f: RationalMap) -> RationalMap:
     w = numerator_wronskian(f)
     if w.is_zero:
         raise DegenerateInput("constant map has no Schwarzian derivative")
-    d = f.den
+    n1, d1 = f.num.deriv(), f.den.deriv()
     wp = w.deriv()
-    wpp = wp.deriv()
-    bracket = d * (wpp * w - 1.5 * (wp * wp)) + 2.0 * (w * wp * d.deriv()) \
-        - 2.0 * (w * w * d.deriv().deriv())
-    num, rem = bracket.divmod(d)
-    if not rem.is_zero and rem.scale() > 1e-9 * (1.0 + bracket.scale()):
-        raise AssertionError("denominator does not divide the Schwarzian bracket")
-    return rational_normalize(num, w * w)
-
-
-def _pole_multiplicity(den: Poly, c) -> int:
-    """Number of denominator roots within relative distance 1e-4 of c.
-
-    Root clustering is far more robust than thresholding shifted
-    coefficients, and the radius must absorb the splitting of a numerical
-    double root, which can reach ~1e-5 for badly scaled octics.
-    """
-    from .algebra import poly_roots
-
-    if den.degree < 1:
-        return 0
-    return sum(
-        1 for r in poly_roots(den) if abs(r - c) <= 1e-4 * (1.0 + abs(c))
-    )
+    bracket = wp.deriv() * w - 1.5 * (wp * wp) \
+        + 2.0 * (w * (n1.deriv() * d1 - n1 * d1.deriv()))
+    return RationalMap(bracket, w * w)
 
 
 # Exact complex rational arithmetic on (Fraction, Fraction) pairs.  Floats are
@@ -152,7 +126,8 @@ def laurent_at(phi: RationalMap, c, order: int) -> LaurentData:
     cx = _xc(c)
     ns = _xshift(phi.num.coeffs, cx) if phi.num.coeffs else []
     ds = _xshift(phi.den.coeffs, cx)
-    m = _pole_multiplicity(phi.den, c)
+    m = sum(k for center, k in root_clusters(phi.den)
+            if abs(center - c) <= 1e-4 * (1.0 + abs(c)))
     if m > 2:
         raise PoleTooHigh(f"pole of order {m} at {c}")
     ds_reduced = ds[m:]
@@ -232,8 +207,6 @@ def e_sums(points, params, count: int):
 
 def critical_points(f: RationalMap, tol: float = 1e-9):
     """Finite critical points of f (roots of the numerator Wronskian)."""
-    from .algebra import poly_roots
-
     w = numerator_wronskian(f)
     if w.degree < 1:
         return []
@@ -243,23 +216,8 @@ def critical_points(f: RationalMap, tol: float = 1e-9):
 def pole_report(phi: RationalMap, order: int = 8):
     """Laurent data of phi at each finite pole, plus the infinity type.
 
-    Denominator roots are clustered at 1e-6 relative distance and replaced by
-    the cluster mean: a numerically split double root recovers its center to
-    near machine precision, which the multiplicity detection needs.
+    Each cluster of denominator roots (see root_clusters) is one pole,
+    expanded about the cluster center.
     """
-    from .algebra import poly_roots
-
-    poles = []
-    if phi.den.degree >= 1:
-        clusters = []
-        for r in poly_roots(phi.den):
-            for cl in clusters:
-                if abs(r - cl[0]) <= 1e-6 * (1.0 + abs(r)):
-                    cl.append(r)
-                    break
-            else:
-                clusters.append([r])
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            poles.append(laurent_at(phi, center, order))
+    poles = [laurent_at(phi, center, order) for center, _ in root_clusters(phi.den)]
     return poles, infinity_type(phi)

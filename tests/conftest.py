@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from schwarzian import J, Poly, RationalMap
 from schwarzian.algebra import series_div, series_mul
@@ -49,6 +50,19 @@ def series_schwarzian_laurent(f_series, d, n_out):
     c_ser = series_div(a, b, n)  # f''/f' = c(t)/t, c[0] = d-1
     sq = series_mul(c_ser, c_ser, n)
     return [(m - 1) * c_ser[m] - sq[m] / 2.0 for m in range(min(n, n_out + 1))]
+
+
+def log_derivative_schwarzian(num, den, z):
+    """Independent oracle: S_f(z) for f = num/den (ascending coefficient
+    arrays) as u' - u^2/2 with u = f''/f' = W'/W - 2d'/d, where f' = W/d^2
+    and W = num' den - num den'; numpy polynomials, evaluated pointwise."""
+    w = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
+                      npoly.polymul(num, npoly.polyder(den)))
+    w0, w1, w2 = (npoly.polyval(z, npoly.polyder(w, k)) for k in range(3))
+    d0, d1, d2 = (npoly.polyval(z, npoly.polyder(den, k)) for k in range(3))
+    u = w1 / w0 - 2 * d1 / d0
+    du = (w2 * w0 - w1 * w1) / (w0 * w0) - 2 * (d2 * d0 - d1 * d1) / (d0 * d0)
+    return du - u * u / 2
 
 
 def partial_fraction_residues(phi: RationalMap, poles):

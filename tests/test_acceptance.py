@@ -33,7 +33,6 @@ from schwarzian import (
     local_g,
     local_primitive,
     merom_generator,
-    pole_report,
     reconstruct_rational,
     schwarzian,
     series_obstruction,
@@ -42,7 +41,6 @@ from schwarzian import (
     y_polynomial,
 )
 from schwarzian.algebra import riemann_close
-from schwarzian.cubic import critical_points_of
 
 from conftest import compose_rational, rand_complex, series_schwarzian_laurent
 
@@ -150,13 +148,10 @@ def _solver_configs(rng, want):
             continue
         maps, _ = reconstruct_rational(pts, attempts=48, seed=len(configs) + 5)
         for f in maps:
-            s = schwarzian(f)
-            poles, _ = pole_report(s)
-            if len(poles) != 4:
+            config = CriticalConfiguration.from_phi(schwarzian(f))
+            if len(config.points) != 4:
                 continue
-            points = tuple(g.pole for g in poles)
-            params = tuple(-2.0 / 3.0 * g.residue_and_tail[0] for g in poles)
-            configs.append(CriticalConfiguration(points, params))
+            configs.append(config)
             if len(configs) >= want:
                 break
     return configs
@@ -236,7 +231,7 @@ def test_criterion_09_h_alpha_family():
     ok = True
     for alpha in (2, 3 + 1j):
         h = h_alpha(alpha)
-        crit = critical_points_of(h)
+        crit = critical_points(h)
         expected = [1, J, J * J, complex(alpha) ** 2]
         for e in expected:
             ok = ok and min(abs(c - e) for c in crit) <= 1e-7

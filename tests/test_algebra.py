@@ -11,7 +11,6 @@ from schwarzian import (
     poly_discriminant,
     poly_resultant,
     poly_roots,
-    rational_normalize,
 )
 from schwarzian.algebra import riemann_close, series_inv, series_mul
 
@@ -119,26 +118,26 @@ def test_discriminant_examples():
 
 
 def test_rational_normalize_common_factor():
-    f = rational_normalize(Poly([-1, 0, 1]), Poly([-1, 1]))
+    f = RationalMap(Poly([-1, 0, 1]), Poly([-1, 1]))
     assert f.num == Poly([1, 1])
     assert f.den == Poly([1])
 
 
 def test_rational_normalize_monic_rescale():
-    f = rational_normalize(Poly([0, 2]), Poly([2]))
+    f = RationalMap(Poly([0, 2]), Poly([2]))
     assert f.num == Poly([0, 1])
     assert f.den == Poly([1])
 
 
 def test_rational_normalize_coprime_fixed_point():
-    f = rational_normalize(Poly([1, 0, 0, 1]), Poly([0, 0, 2]))
+    f = RationalMap(Poly([1, 0, 0, 1]), Poly([0, 0, 2]))
     assert f.den == Poly([0, 0, 1])
     assert np.allclose(f.num.coeffs, [0.5, 0, 0, 0.5])
 
 
 def test_rational_normalize_rejects_zero_over_zero():
     with pytest.raises(DegenerateInput):
-        rational_normalize(Poly.zero(), Poly.zero())
+        RationalMap(Poly.zero(), Poly.zero())
 
 
 def test_mobius_apply_basic():

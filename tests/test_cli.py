@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from schwarzian.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
+from schwarzian import FiberSolveReport, Poly
+from schwarzian.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 
 
 def run_cli(monkeypatch, capsys, argv, payload):
@@ -76,6 +77,18 @@ def test_solve_subcommand(monkeypatch, capsys):
     assert out["expected_max"] == 2
     assert all(r <= 1e-9 for r in out["residuals"])
     assert out["tetrahedron"] is False
+
+
+def test_solve_without_solutions_exits_4(monkeypatch, capsys):
+    def no_solutions(points, attempts=None, seed=42):
+        return [], FiberSolveReport(target=Poly.from_roots(points), warning=True)
+
+    monkeypatch.setattr("schwarzian.cli.reconstruct_rational", no_solutions)
+    pts = [[1, 0], [-0.5, 0.5], [0.3, -1.0], [-1.1, -0.2]]
+    code, out, err = run_cli(monkeypatch, capsys, ["solve"], {"points": pts})
+    assert code == EXIT_SOLVER
+    assert out is None
+    assert "no Newton restart converged" in err
 
 
 def test_cubic_subcommand(monkeypatch, capsys):

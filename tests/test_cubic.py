@@ -16,12 +16,13 @@ from schwarzian import (
     h_alpha,
     is_regular_tetrahedron,
     lift_correspondence,
+    critical_points,
     ratio_orbit,
     schwarzian,
     wronskian,
 )
 from schwarzian.algebra import riemann_close
-from schwarzian.cubic import TETRAHEDRAL_RATIOS, critical_points_of
+from schwarzian.cubic import TETRAHEDRAL_RATIOS
 
 from conftest import rand_complex
 
@@ -165,7 +166,7 @@ def test_h_alpha_structure():
 def test_h_alpha_critical_points():
     for alpha in (2, 3 + 1j):
         h = h_alpha(alpha)
-        crit = critical_points_of(h)
+        crit = critical_points(h)
         expected = [1, J, J * J, complex(alpha) ** 2]
         for e in expected:
             assert min(abs(c - e) for c in crit) <= 1e-7
@@ -211,6 +212,6 @@ def test_lift_correspondence_schwarzian_compatible():
 
     h = h_alpha(3 + 1j)
     s = schwarzian(h)
-    for c in critical_points_of(h):
+    for c in critical_points(h):
         g = laurent_at(s, c, 2)
         assert abs(g.leading - (-1.5)) <= 1e-7

@@ -95,6 +95,11 @@ def test_local_g_obstruction():
     bad = TruncatedSeries(base=0j, coeffs=(0, 1, 0, 0))
     with pytest.raises(ObstructionNonzero):
         local_g(2, bad, 4)
+    # the resonant equation involves only a_1, a_2; a large a_3 must not
+    # scale the test up until a 1e-3 obstruction passes
+    big_tail = TruncatedSeries(base=0j, coeffs=(0, 1e-3, 1e6, 0, 0, 0, 0, 0))
+    with pytest.raises(ObstructionNonzero):
+        local_g(2, big_tail, 8)
 
 
 def test_local_primitive_square(phi1):

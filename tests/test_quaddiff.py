@@ -16,7 +16,7 @@ from schwarzian import (
     schwarzian,
 )
 
-from conftest import partial_fraction_residues, rand_complex
+from conftest import log_derivative_schwarzian, partial_fraction_residues, rand_complex
 
 
 def test_schwarzian_of_f1(f1, phi1):
@@ -48,6 +48,19 @@ def test_schwarzian_numeric_spot_check(rng):
         d3 = (-vals[0] + 2 * vals[1] - 2 * vals[3] + vals[4]) / (2 * h**3)
         approx = d3 / d1 - 1.5 * (d2 / d1) ** 2
         assert abs(approx - s(z)) <= 1e-3 * (1 + abs(s(z)))
+
+
+def test_schwarzian_random_degree_5_and_6_maps():
+    # high-degree maps where the bracket is large and cancellation-prone
+    rng = np.random.default_rng(0)
+    for deg in (5, 6):
+        for _ in range(20):
+            num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            s = schwarzian(RationalMap(Poly(num), Poly(den)))
+            for z in (0.3 + 0.4j, -0.7 + 0.1j, 0.2 - 0.9j):
+                want = log_derivative_schwarzian(num, den, z)
+                assert abs(s(z) - want) <= 1e-9 * (1 + abs(want))
 
 
 def test_wronskian_of_f2(f2):
@@ -186,3 +199,10 @@ def test_pole_report_handles_split_double_roots():
     assert np.allclose(centers, [-2, 1], atol=1e-6)
     for g in poles:
         assert abs(g.leading) > 1e-4
+    # ((z-1)^2 - 1e-10)(z+2)^2: the double root at 1 is split by 2e-5
+    den = Poly([-1e-10 + 1, -2, 1]) * Poly([4, 4, 1])
+    phi = RationalMap(Poly([1, 1]), den, reduce=False)
+    poles, _ = pole_report(phi)
+    assert len(poles) == 2
+    centers = sorted(g.pole.real for g in poles)
+    assert np.allclose(centers, [-2, 1], atol=1e-6)
