@@ -41,8 +41,8 @@ class CriticalConfiguration:
     @classmethod
     def from_phi(cls, phi: RationalMap) -> CriticalConfiguration:
         """The poles of phi with A = -(2/3) a_1, since a_1 = -(3/2) A at a
-        simple critical point.  Exact division makes a_1 the same at every
-        expansion order, so order 1 suffices."""
+        simple critical point.  Series division produces a_1 before any later
+        term, so a_1 is the same at every expansion order and order 1 suffices."""
         poles, _ = pole_report(phi, order=1)
         return cls(tuple(g.pole for g in poles),
                    tuple(-2.0 / 3.0 * g.residue_and_tail[0] for g in poles))
@@ -291,6 +291,7 @@ def check_polynomial_criterion(points):
     k = len(pts)
     if k < 1:
         raise DegenerateInput("need at least one critical point")
+    require_distinct(pts, "critical points")
     params = []
     for i, ci in enumerate(pts):
         s = 0j

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -81,6 +83,43 @@ def partial_fraction_residues(phi: RationalMap, poles):
         ) / (8 * h)
         out.append((complex(lead), complex(resid)))
     return out
+
+
+def exact_laurent(phi: RationalMap, c, m, n_terms):
+    """Independent oracle: the first n_terms coefficients of (z-c)^2 phi(z)
+    about c, [leading, a_1, a_2, ...], for a pole of order m at c.
+
+    The Taylor shift and the series division run in exact complex rationals
+    on (Fraction, Fraction) pairs; floats are exact rationals, so only the
+    final conversion back to complex rounds.  The m lowest shifted
+    denominator coefficients are dropped, as for an exact root of order m.
+    """
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def shift(coeffs, z):
+        work = [(Fraction(x.real), Fraction(x.imag)) for x in map(complex, coeffs)]
+        for i in range(len(work)):
+            for j in range(len(work) - 2, i - 1, -1):
+                prod = mul(z, work[j + 1])
+                work[j] = (work[j][0] + prod[0], work[j][1] + prod[1])
+        return work
+
+    c = complex(c)
+    z = (Fraction(c.real), Fraction(c.imag))
+    num = shift(phi.num.coeffs, z)
+    den = shift(phi.den.coeffs, z)[m:]
+    norm = den[0][0] ** 2 + den[0][1] ** 2
+    inv0 = (den[0][0] / norm, -den[0][1] / norm)
+    quot = []
+    for k in range(n_terms - (2 - m)):
+        acc = num[k] if k < len(num) else (Fraction(0), Fraction(0))
+        for j in range(1, min(k, len(den) - 1) + 1):
+            prod = mul(den[j], quot[k - j])
+            acc = (acc[0] - prod[0], acc[1] - prod[1])
+        quot.append(mul(acc, inv0))
+    return ([0j] * (2 - m) + [complex(x[0], x[1]) for x in quot])[:n_terms]
 
 
 @pytest.fixture

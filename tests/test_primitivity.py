@@ -188,6 +188,11 @@ def test_polynomial_criterion_z_zminus1():
     assert np.allclose(config.params, [-2 / 3, 2 / 3])
 
 
+def test_polynomial_criterion_rejects_repeated_points():
+    with pytest.raises(DegenerateInput):
+        check_polynomial_criterion([0, 0, 1])
+
+
 def test_polynomial_criterion_matches_actual_polynomials(rng):
     # critical points of a random degree-4 polynomial with simple zeros of P'
     roots = [0.0, 1.0, -0.5 + 0.8j]

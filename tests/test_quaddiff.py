@@ -4,6 +4,7 @@ import pytest
 from schwarzian import (
     DegenerateInput,
     InfinityType,
+    LaurentData,
     Poly,
     PoleTooHigh,
     RationalMap,
@@ -13,10 +14,21 @@ from schwarzian import (
     laurent_at,
     numerator_wronskian,
     pole_report,
+    TruncatedSeries,
+    classify_holonomy,
+    h_alpha,
     schwarzian,
 )
+from schwarzian.algebra import root_clusters
+from schwarzian.quaddiff import _degree_hint
 
-from conftest import log_derivative_schwarzian, partial_fraction_residues, rand_complex
+from conftest import (
+    exact_laurent,
+    log_derivative_schwarzian,
+    partial_fraction_residues,
+    rand_complex,
+    rand_poly,
+)
 
 
 def test_schwarzian_of_f1(f1, phi1):
@@ -206,3 +218,66 @@ def test_pole_report_handles_split_double_roots():
     assert len(poles) == 2
     centers = sorted(g.pole.real for g in poles)
     assert np.allclose(centers, [-2, 1], atol=1e-6)
+
+
+def _pullback(phi, s):
+    """s^-2 phi(z/s): the same quadratic differential with every pole
+    multiplied by s; unreduced, so no gcd or rescaling touches the data."""
+    num = [c * s ** (-k - 2) for k, c in enumerate(phi.num.coeffs)]
+    den = [c * s ** -k for k, c in enumerate(phi.den.coeffs)]
+    return RationalMap(Poly(num), Poly(den), reduce=False)
+
+
+def _holonomy_kind(g):
+    return classify_holonomy(g, TruncatedSeries(base=g.pole, coeffs=g.residue_and_tail)).kind
+
+
+def _assert_matches_exact(phi, order, n_compare, tol):
+    """Float Laurent data of phi against the exact oracle at every pole:
+    the leading term and a_1..a_n_compare (all of them when n_compare is
+    None, else a_1..a_d for the pole's local degree d) within tol relative
+    to 1 + max|a_k| over the compared terms; same degree hint and
+    holonomy kind."""
+    for c, m in root_clusters(phi.den):
+        g = laurent_at(phi, c, order)
+        exact = exact_laurent(phi, c, m, order + 1)
+        n = n_compare if n_compare is not None else g.local_degree_hint
+        got = [g.leading, *g.residue_and_tail[:n]]
+        scale = 1.0 + max(abs(a) for a in exact[1 : n + 1])
+        assert max(abs(a - b) for a, b in zip(got, exact)) <= tol * scale
+        germ = LaurentData(pole=c, leading=exact[0], residue_and_tail=tuple(exact[1:]),
+                           local_degree_hint=_degree_hint(exact[0]))
+        assert g.local_degree_hint == germ.local_degree_hint
+        assert _holonomy_kind(g) == _holonomy_kind(germ)
+
+
+def test_laurent_matches_exact_oracle():
+    _assert_matches_exact(schwarzian(h_alpha(2)), 12, 12, 1e-12)
+    # ((z-1)^2 - 1e-10)(z+2)^2: the cluster at 1 is expanded as a double pole
+    den = Poly([-1e-10 + 1, -2, 1]) * Poly([4, 4, 1])
+    _assert_matches_exact(RationalMap(Poly([1, 1]), den, reduce=False), 12, 12, 1e-12)
+    rng = np.random.default_rng(1511)
+    for deg in (2, 3, 4):
+        # Poly keeps coefficients within 1e12 of the largest, so a denominator
+        # of degree 4*deg - 4 with roots near 1e2 exists only for deg = 2
+        scales = (1e-2, 1.0, 1e2) if deg == 2 else (1e-2, 1.0)
+        for _ in range(2):
+            phi = schwarzian(RationalMap(rand_poly(rng, deg), rand_poly(rng, deg)))
+            for s in scales:
+                phi_s = _pullback(phi, s)
+                clusters = root_clusters(phi_s.den)
+                assert [m for _, m in clusters] == [2] * (2 * deg - 2)
+                _assert_matches_exact(phi_s, 8, None, 1e-10)
+
+
+def test_pole_report_matches_laurent_at_and_a1_ignores_order(corpus):
+    den = Poly([-1e-10 + 1, -2, 1]) * Poly([4, 4, 1])
+    phis = [schwarzian(f) for f in corpus]
+    phis.append(RationalMap(Poly([1, 1]), den, reduce=False))
+    for phi in phis:
+        for n in (1, 8):
+            poles, _ = pole_report(phi, n)
+            assert poles == [laurent_at(phi, g.pole, n) for g in poles]
+        for g in poles:
+            a1 = laurent_at(phi, g.pole, 1).residue_and_tail[0]
+            assert a1 == laurent_at(phi, g.pole, 32).residue_and_tail[0]
