@@ -81,14 +81,6 @@ class Poly:
         return Poly((1.0,))
 
     @staticmethod
-    def x():
-        return Poly((0.0, 1.0))
-
-    @staticmethod
-    def const(c):
-        return Poly((c,))
-
-    @staticmethod
     def from_roots(roots):
         p = Poly.one()
         for r in roots:
@@ -538,9 +530,6 @@ class Mobius:
 
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def as_rational(self):
-        return RationalMap(Poly((self.b, self.a)), Poly((self.d, self.c)))
 
     def is_identity(self, tol=1e-9):
         for sign in (1.0, -1.0):

@@ -154,8 +154,6 @@ def cmd_check(payload, args):
 def cmd_solve(payload, args):
     _reject_unknown(payload, {"points"})
     points = [decode_complex(p) for p in _require(payload, "points")]
-    if len(points) % 2 != 0 or not points:
-        raise DegenerateInput("need an even number of distinct points")
     maps, report = reconstruct_rational(points, attempts=args.attempts, seed=args.seed)
     out = encode_fiber_report(report)
     out["maps"] = [encode_rational(f) for f in maps]

@@ -34,6 +34,18 @@ def catalan(d: int) -> int:
     return math.comb(2 * (d - 1), d - 1) // d
 
 
+def _pq(mu, x):
+    """Ascending coefficient arrays [a_p, 0, 1] and [a_q, 1] of p_a and q_a."""
+    x = np.asarray(x, dtype=complex)
+    return np.concatenate([x[:mu], [0, 1]]), np.concatenate([x[mu:], [1]])
+
+
+def _w(p, q):
+    """Ascending coefficients of p'q - q'p; bilinear in the arrays p and q."""
+    return (np.convolve(p[1:] * np.arange(1, len(p)), q)
+            - np.convolve(q[1:] * np.arange(1, len(q)), p))
+
+
 @dataclass(frozen=True)
 class NormalizedMapCoords:
     """Coefficient vector a = (a_p, a_q) of the normalized degree-(mu+1) family.
@@ -52,10 +64,10 @@ class NormalizedMapCoords:
             raise DegenerateInput("need mu >= 1 and mu coefficients on each side")
 
     def p_poly(self) -> Poly:
-        return Poly(list(self.a_p) + [0j, 1.0])
+        return Poly(_pq(self.mu, self.vector())[0])
 
     def q_poly(self) -> Poly:
-        return Poly(list(self.a_q) + [1.0])
+        return Poly(_pq(self.mu, self.vector())[1])
 
     def vector(self):
         return np.array(list(self.a_p) + list(self.a_q), dtype=complex)
@@ -68,7 +80,11 @@ class NormalizedMapCoords:
 
 @dataclass
 class FiberSolveReport:
-    """Outcome of Newton restarts on the Wronskian fiber over a monic target."""
+    """Outcome of Newton restarts on the Wronskian fiber over a monic target.
+
+    complete is True when the restarts found expected_max = catalan(mu+1)
+    distinct solutions, the full count over a target with distinct roots.
+    """
 
     target: Poly
     solutions: list = field(default_factory=list)
@@ -77,6 +93,7 @@ class FiberSolveReport:
     residuals: list = field(default_factory=list)
     expected_max: int = 0
     warning: bool = False
+    complete: bool = False
     target_outside_omega_prime: bool = False
     ill_conditioned: bool = False
 
@@ -117,45 +134,28 @@ def local_primitive(phi: RationalMap, c, order: int) -> TruncatedSeries:
 
 def wronskian(coords: NormalizedMapCoords) -> Poly:
     """w_a = p'q - q'p, a monic polynomial of degree 2*mu."""
-    p, q = coords.p_poly(), coords.q_poly()
-    return p.deriv() * q - q.deriv() * p
-
-
-def _w_coeff_vector(coords):
-    w = wronskian(coords)
-    n = 2 * coords.mu
-    out = np.zeros(n, dtype=complex)
-    for i, c in enumerate(w.coeffs[:n]):
-        out[i] = c
-    return out
+    return Poly(_w(*_pq(coords.mu, coords.vector())))
 
 
 def wronskian_jacobian(coords: NormalizedMapCoords):
     """Jacobian of a -> (coefficients 0..2mu-1 of w_a), columns (a_p, a_q).
 
-    Rows are coefficient indices; entries follow from the bilinearity
-    dW = dp'.q - q'.dp + p'.dq - dq'.p applied to the monomial directions.
+    w is linear in p for fixed q and in q for fixed p, so the column of a_p[i]
+    is exactly _w(z^i, q) and the column of a_q[i] is _w(p, z^i).
     """
     mu = coords.mu
-    p, q = coords.p_poly(), coords.q_poly()
-    pp, qp = p.deriv(), q.deriv()
-    n = 2 * mu
-    jac = np.zeros((n, n), dtype=complex)
-    for i in range(mu):
-        zi = Poly([0j] * i + [1.0])
-        dzi = zi.deriv()
-        col_p = dzi * q - qp * zi
-        col_q = pp * zi - dzi * p
-        for row, c in enumerate(col_p.coeffs[:n]):
-            jac[row, i] = c
-        for row, c in enumerate(col_q.coeffs[:n]):
-            jac[row, mu + i] = c
-    return jac
+    p, q = _pq(mu, coords.vector())
+    unit = np.eye(mu + 2)
+    cols = [_w(unit[i], q) for i in range(mu)] + [_w(p, unit[i, :-1]) for i in range(mu)]
+    return np.array(cols).T[: 2 * mu]
 
 
 def _newton_run(mu, target_vec, start, max_iter=100):
+    def residual(x):
+        return _w(*_pq(mu, x))[: 2 * mu] - target_vec
+
     x = np.array(start, dtype=complex)
-    fx = _w_coeff_vector(NormalizedMapCoords.from_vector(mu, x)) - target_vec
+    fx = residual(x)
     res = float(np.max(np.abs(fx)))
     for _ in range(max_iter):
         # Iterate to the rounding floor: singular fibers converge linearly and
@@ -172,7 +172,7 @@ def _newton_run(mu, target_vec, start, max_iter=100):
         lam = 1.0
         for _ in range(20):
             x_new = x - lam * step
-            f_new = _w_coeff_vector(NormalizedMapCoords.from_vector(mu, x_new)) - target_vec
+            f_new = residual(x_new)
             res_new = float(np.max(np.abs(f_new)))
             if res_new < res:
                 break
@@ -201,9 +201,7 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
         attempts = 64 * catalan(mu + 1)
     if attempts < 1:
         raise DegenerateInput("attempts must be >= 1")
-    target_vec = np.zeros(2 * mu, dtype=complex)
-    for i, c in enumerate(target.coeffs[: 2 * mu]):
-        target_vec[i] = c
+    target_vec = np.array(target.coeffs[: 2 * mu])
     report = FiberSolveReport(target=target, attempts=attempts, seed=seed,
                               expected_max=catalan(mu + 1))
     try:
@@ -230,6 +228,7 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
             report.ill_conditioned = True
         report.solutions.append(sol)
         report.residuals.append(res)
+    report.complete = len(report.solutions) == report.expected_max
     if not report.solutions:
         report.warning = True
     return report

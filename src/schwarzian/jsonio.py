@@ -71,6 +71,7 @@ def encode_fiber_report(report):
         "residuals": list(report.residuals),
         "expected_max": report.expected_max,
         "warning": report.warning,
+        "complete": report.complete,
         "target_outside_omega_prime": report.target_outside_omega_prime,
         "ill_conditioned": report.ill_conditioned,
     }

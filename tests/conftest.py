@@ -67,6 +67,18 @@ def log_derivative_schwarzian(num, den, z):
     return du - u * u / 2
 
 
+def normalized_wronskian(x):
+    """Independent oracle: ascending coefficients of p'q - q'p for the
+    normalized coordinates x = (a_p, a_q) of length 2*mu, where
+    p = sum a_p[i] z^i + z^(mu+1) and q = sum a_q[i] z^i + z^mu;
+    numpy.polynomial arithmetic."""
+    mu = len(x) // 2
+    p = npoly.polyadd(x[:mu], npoly.polypow([0, 1], mu + 1))
+    q = npoly.polyadd(x[mu:], npoly.polypow([0, 1], mu))
+    return npoly.polysub(npoly.polymul(npoly.polyder(p), q),
+                         npoly.polymul(npoly.polyder(q), p))
+
+
 def partial_fraction_residues(phi: RationalMap, poles):
     """Independent oracle: for phi with double poles at the given points,
     the (z-c)^-2 and (z-c)^-1 coefficients via limits of derivatives."""

@@ -75,6 +75,7 @@ def test_solve_subcommand(monkeypatch, capsys):
     assert code == EXIT_OK
     assert 1 <= len(out["maps"]) <= 2
     assert out["expected_max"] == 2
+    assert out["complete"] is (len(out["solutions"]) == 2)
     assert all(r <= 1e-9 for r in out["residuals"])
     assert out["tetrahedron"] is False
 
@@ -151,6 +152,12 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
         monkeypatch, capsys, ["solve"], {"points": [[0, 0], [0, 0]]}
     )
     assert code == EXIT_DEGENERATE
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["solve"], {"points": [[0, 0], [1, 0], [2, 0]]}
+    )
+    assert code == EXIT_DEGENERATE
+    assert out is None
+    assert "even number" in err
 
 
 def test_flag_validation(monkeypatch, capsys):

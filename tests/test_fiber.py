@@ -19,7 +19,7 @@ from schwarzian import (
     wronskian_jacobian,
 )
 
-from conftest import rand_complex, series_schwarzian_laurent
+from conftest import normalized_wronskian, rand_complex, series_schwarzian_laurent
 
 
 def test_catalan_values():
@@ -78,6 +78,25 @@ def test_jacobian_matches_finite_differences(rng):
             assert np.max(np.abs(fd - jac[:, col])) <= 1e-5
 
 
+def test_wronskian_and_jacobian_match_numpy_oracle(rng):
+    # w is quadratic in the coordinates, so a central difference with step 1
+    # is exact up to rounding
+    for mu in range(1, 6):
+        for _ in range(3):
+            x = np.array([rand_complex(rng) for _ in range(2 * mu)])
+            c = NormalizedMapCoords.from_vector(mu, x)
+            want = normalized_wronskian(x)
+            got = np.array(wronskian(c).coeffs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            jac = wronskian_jacobian(c)
+            for k in range(2 * mu):
+                step = np.eye(2 * mu)[k]
+                col = (normalized_wronskian(x + step) - normalized_wronskian(x - step)) / 2
+                col = col[: 2 * mu]
+                assert np.max(np.abs(jac[:, k] - col)) <= 1e-12 * np.max(np.abs(col))
+
+
 def test_jacobian_determinant_mu2(rng):
     # det J = 4 a1 + 12 b0 for the quartic family
     for _ in range(10):
@@ -134,6 +153,7 @@ def test_local_primitive_needs_integer_hint():
 def test_solve_fiber_singular_quartic():
     report = solve_fiber(Poly([0, -2, 0, 0, 1]))
     assert len(report.solutions) == 1
+    assert not report.complete
     sol = report.solutions[0]
     vec = sol.vector()
     assert np.max(np.abs(vec - np.array([1, 0, 0, 0]))) <= 1e-8
@@ -144,6 +164,7 @@ def test_solve_fiber_singular_quartic():
 def test_solve_fiber_z4_minus_1():
     report = solve_fiber(Poly([-1, 0, 0, 0, 1]))
     assert len(report.solutions) == 2
+    assert report.complete
     root3 = np.sqrt(3.0)
     expected = [
         np.array([0, 1j * root3, 1j * root3 / 3, 0]),
@@ -164,17 +185,31 @@ def test_solve_fiber_determinism():
 
 
 def test_solve_fiber_count_bound(rng):
-    for _ in range(5):
-        roots = [rand_complex(rng, 1.2) for _ in range(4)]
-        if min(
-            abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
-        ) < 0.2:
-            continue
-        target = Poly.from_roots(roots)
-        report = solve_fiber(target, attempts=64)
-        assert len(report.solutions) <= catalan(3)
-        for res in report.residuals:
-            assert res <= 1e-9
+    # targets with well-separated roots: default attempts find the full count
+    for mu in (1, 2, 3):
+        for _ in range(4):
+            roots = [rand_complex(rng, 1.2) for _ in range(2 * mu)]
+            if min(
+                abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
+            ) < 0.2:
+                continue
+            target = Poly.from_roots(roots)
+            report = solve_fiber(target)
+            assert len(report.solutions) == catalan(mu + 1)
+            assert report.complete
+            for res in report.residuals:
+                assert res <= 1e-9
+            want = np.array(target.coeffs[: 2 * mu])
+            for sol in report.solutions:
+                got = normalized_wronskian(sol.vector())[: 2 * mu]
+                assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_solve_fiber_one_attempt_is_incomplete():
+    target = Poly.from_roots([1.0, -0.5 + 0.9j, 0.3 - 1.1j, -1.2 - 0.4j, 0.8 + 0.7j, -0.2j])
+    report = solve_fiber(target, attempts=1)
+    assert len(report.solutions) <= 1
+    assert not report.complete
 
 
 def test_solve_fiber_rejects_bad_targets():
