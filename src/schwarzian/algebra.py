@@ -204,11 +204,11 @@ def _as_poly(p):
     return Poly(p)
 
 
-def poly_roots(p: Poly, tol: float = 1e-9):
+def poly_roots(p: Poly):
     """All roots with multiplicity, deterministically ordered.
 
     Companion-matrix eigenvalues; order is lexicographic by (re, im) after
-    rounding at tol.  Raises NonConvergence if the eigenvalue iteration fails.
+    rounding at 1e-9.  Raises NonConvergence if the eigenvalue iteration fails.
     """
     if p.is_zero or p.degree < 1:
         raise DegenerateInput("root finding needs degree >= 1")
@@ -217,7 +217,7 @@ def poly_roots(p: Poly, tol: float = 1e-9):
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NonConvergence(str(exc))
     rts = [complex(r) for r in rts]
-    rts.sort(key=lambda z: (round(z.real / tol), round(z.imag / tol), z.real, z.imag))
+    rts.sort(key=lambda z: (round(z.real / 1e-9), round(z.imag / 1e-9), z.real, z.imag))
     return rts
 
 
@@ -492,19 +492,17 @@ class Mobius:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, normalize=True):
+    def __init__(self, a, b, c, d):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
         if abs(det) <= 1e-14 * (1.0 + max(abs(a), abs(b), abs(c), abs(d)) ** 2):
             raise DegenerateInput("singular Mobius matrix")
-        if normalize:
-            s = cmath.sqrt(det)
-            a, b, c, d = a / s, b / s, c / s, d / s
-        self.a, self.b, self.c, self.d = a, b, c, d
+        s = cmath.sqrt(det)
+        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
 
     @staticmethod
     def identity():
-        return Mobius(1, 0, 0, 1, normalize=False)
+        return Mobius(1, 0, 0, 1)
 
     def __call__(self, z):
         if is_inf(z):
@@ -531,16 +529,10 @@ class Mobius:
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def is_identity(self, tol=1e-9):
-        for sign in (1.0, -1.0):
-            if (
-                abs(self.a - sign) <= tol
-                and abs(self.d - sign) <= tol
-                and abs(self.b) <= tol
-                and abs(self.c) <= tol
-            ):
-                return True
-        return False
+    def is_identity(self):
+        """+-I to 1e-9 in every entry."""
+        return abs(self.b) <= 1e-9 and abs(self.c) <= 1e-9 and any(
+            abs(self.a - s) <= 1e-9 and abs(self.d - s) <= 1e-9 for s in (1.0, -1.0))
 
     def __repr__(self):
         return f"Mobius({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"

@@ -1,7 +1,8 @@
 """JSON command-line front end.
 
-Grammar: schwarzian <subcommand> [--tol X] [--seed N] [--attempts N]
-[--order N] [--in FILE|-].  Input JSON on stdin or file; output JSON on
+Grammar: schwarzian schwarzian|check|reconstruct-local [--order N] [--in FILE|-],
+schwarzian solve [--seed N] [--attempts N] [--in FILE|-],
+schwarzian cubic [--in FILE|-].  Input JSON on stdin or file; output JSON on
 stdout, diagnostics on stderr.  Exit codes: 0 ok, 2 parse error,
 3 degenerate input, 4 solver failure.
 """
@@ -39,6 +40,7 @@ from .jsonio import (
 )
 from .primitivity import (
     CriticalConfiguration,
+    HolonomyClass,
     check_polynomial_criterion,
     check_rational_criterion,
     classify_holonomy,
@@ -91,35 +93,32 @@ def cmd_schwarzian(payload, args):
 
 
 def cmd_check(payload, args):
-    _reject_unknown(payload, {"phi", "mode", "point", "d", "variant"})
+    _reject_unknown(payload, {"phi", "mode", "point", "variant"})
     phi = decode_rational(_require(payload, "phi"))
     mode = _require(payload, "mode")
     if mode == "local":
         point = decode_complex(_require(payload, "point"))
         germ = laurent_at(phi, point, args.order)
-        d = payload.get("d", germ.local_degree_hint)
+        d = germ.local_degree_hint
+        q = algebra.TruncatedSeries(base=complex(point), coeffs=germ.residue_and_tail)
+        holonomy = classify_holonomy(germ, q).kind
         out = {
             "mode": "local",
             "point": encode_complex(point),
             "leading": encode_complex(germ.leading),
-            "local_degree": germ.local_degree_hint,
+            "local_degree": d,
         }
         if d is None:
             out["verdict"] = "leading coefficient is not (1-d^2)/2 for integer d"
-            q = algebra.TruncatedSeries(base=complex(point), coeffs=germ.residue_and_tail)
-            out["holonomy"] = classify_holonomy(germ, q).kind
+            out["holonomy"] = holonomy
             return out
-        tail = list(germ.residue_and_tail[:d])
-        det = condition_determinant(d, tail)
-        q = algebra.TruncatedSeries(base=complex(point), coeffs=germ.residue_and_tail)
-        b_hat = series_obstruction(d, q)
-        holo = classify_holonomy(germ, q)
         out.update(
             {
-                "determinant": encode_complex(det),
-                "b_hat": encode_complex(b_hat),
-                "holonomy": holo.kind,
-                "primitive_exists": bool(abs(det) <= args.tol * 10),
+                "determinant": encode_complex(
+                    condition_determinant(d, list(germ.residue_and_tail[:d]))),
+                "b_hat": encode_complex(series_obstruction(d, q)),
+                "holonomy": holonomy,
+                "primitive_exists": holonomy == HolonomyClass.IDENTITY,
             }
         )
         return out
@@ -133,21 +132,24 @@ def cmd_check(payload, args):
         _, rec = check_polynomial_criterion(config.points)
         return rec.to_json()
     if mode == "merom":
-        poles, _ = pole_report(phi, order=max(args.order, 3))
+        # A meromorphic primitive may have an essential singularity at
+        # infinity, so only the finite poles are tested.
+        order = max(args.order, 3)
         equations = []
-        overall = True
-        for g in poles:
-            det = condition_determinant(2, list(g.residue_and_tail[:2]))
-            ok = abs(det) <= args.tol * 10
-            overall = overall and ok and g.local_degree_hint == 2
+        for center, _ in algebra.root_clusters(phi.den):
+            g = laurent_at(phi, center, order)
+            q = algebra.TruncatedSeries(base=g.pole, coeffs=g.residue_and_tail)
+            ok = (g.local_degree_hint == 2
+                  and classify_holonomy(g, q).kind == HolonomyClass.IDENTITY)
             equations.append(
                 {
                     "name": f"c2@{encode_complex(g.pole)}",
-                    "residual": abs(det),
-                    "pass": bool(ok),
+                    "residual": abs(condition_determinant(2, list(g.residue_and_tail[:2]))),
+                    "pass": ok,
                 }
             )
-        return {"variant": "merom", "equations": equations, "overall": overall}
+        return {"variant": "merom", "equations": equations,
+                "overall": all(e["pass"] for e in equations)}
     raise _PayloadError(f"unknown mode {mode!r}")
 
 
@@ -225,18 +227,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--attempts", type=int, default=None)
-        p.add_argument("--order", type=int, default=32)
+        if name == "solve":
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--attempts", type=int, default=None)
+        if name in ("schwarzian", "check", "reconstruct-local"):
+            p.add_argument("--order", type=int, default=32)
         p.add_argument("--in", dest="infile", default="-")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.tol <= 0 or args.order <= 0 or (args.attempts is not None and args.attempts <= 0):
-        print("error: numeric flags must be positive", file=sys.stderr)
+    attempts = getattr(args, "attempts", None)
+    if getattr(args, "order", 1) <= 0 or (attempts is not None and attempts <= 0) \
+            or getattr(args, "seed", 0) < 0:
+        print("error: --order and --attempts must be positive, --seed >= 0", file=sys.stderr)
         return EXIT_PARSE
     try:
         if args.infile == "-":

@@ -164,12 +164,12 @@ def _induced_permutation(m: Mobius, points, tol=1e-6):
     return tuple(perm)
 
 
-def lift_correspondence(f: RationalMap, samples: int = 20):
+def lift_correspondence(f: RationalMap):
     """The bijection M <-> N between the four-groups of critical points and
     critical values of a cubic f, with f o M = N o f.
 
-    Returns three (M, N) pairs, each verified at sample points in the chordal
-    metric (sup residual <= 1e-7)."""
+    Returns three (M, N) pairs, each verified at 20 sample points in the
+    chordal metric (sup residual <= 1e-7)."""
     crit = critical_points(f)
     if len(crit) != 4:
         raise DegenerateInput("need four distinct finite critical points")
@@ -191,17 +191,17 @@ def lift_correspondence(f: RationalMap, samples: int = 20):
                 (values[0], values[1], values[2]),
                 (values[perm[0]], values[perm[1]], values[perm[2]]),
             )
-        if not _verify_lift(f, m, n_match, samples):
+        if not _verify_lift(f, m, n_match):
             raise DegenerateInput("lift verification failed")
         pairs.append((m, n_match))
     return pairs
 
 
-def _verify_lift(f, m, n, samples, tol=1e-7):
-    for k in range(samples):
-        z = 1.7 * cmath.exp(2j * cmath.pi * (k + 0.37) / samples)
+def _verify_lift(f, m, n):
+    for k in range(20):
+        z = 1.7 * cmath.exp(2j * cmath.pi * (k + 0.37) / 20)
         lhs = f(m(z))
         rhs = n(f(z))
-        if not riemann_close(lhs, rhs, tol=tol):
+        if not riemann_close(lhs, rhs, tol=1e-7):
             return False
     return True

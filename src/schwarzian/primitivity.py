@@ -164,22 +164,26 @@ def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyCla
     """Holonomy generator class of the projective structure around the pole.
 
     delta is the root of 1 - 2*leading with Re delta >= 0 (Im >= 0 when
-    Re = 0); non-integer delta gives an elliptic generator with multiplier
-    e^(2 pi i delta), delta = 0 a parabolic one, and integer delta >= 1 the
-    identity iff the series obstruction vanishes.
+    Re = 0).  Whether delta is an integer d is the test behind
+    germ.local_degree_hint.  For d >= 1 the generator is the identity iff
+    g_recursion(d, ...) passes its resonance test, the test local_primitive
+    makes; otherwise it is parabolic with obstruction b_hat_d.  d = 0 is
+    parabolic, and a non-integer delta elliptic with multiplier
+    e^(2 pi i delta).
     """
+    d = germ._integer_delta()
+    if d == 0:
+        return HolonomyClass(HolonomyClass.PARABOLIC_ZERO)
+    if d is not None:
+        b_hat = series_obstruction(d, q_tail)  # also rejects a tail shorter than d + 1
+        try:
+            g_recursion(d, q_tail.coeffs, d + 1)
+        except ObstructionNonzero:
+            return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED, obstruction=b_hat)
+        return HolonomyClass(HolonomyClass.IDENTITY)
     delta = cmath.sqrt(1.0 - 2.0 * complex(germ.leading))
     if delta.real < 0 or (abs(delta.real) < 1e-14 and delta.imag < 0):
         delta = -delta
-    d = round(delta.real)
-    is_integer = abs(delta - d) <= 1e-9 * (1.0 + abs(delta))
-    if is_integer and d == 0:
-        return HolonomyClass(HolonomyClass.PARABOLIC_ZERO)
-    if is_integer and d >= 1:
-        b_hat = series_obstruction(d, q_tail)
-        if abs(b_hat) <= RESIDUAL_TOL:
-            return HolonomyClass(HolonomyClass.IDENTITY)
-        return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED, obstruction=b_hat)
     multiplier = cmath.exp(2j * cmath.pi * delta)
     unitary = abs(abs(multiplier) - 1.0) <= 1e-9
     return HolonomyClass(HolonomyClass.ELLIPTIC, multiplier=multiplier, unitary=unitary)

@@ -25,14 +25,26 @@ class LaurentData:
     """Germ of a quadratic differential at a finite double (or simple) pole.
 
     ``leading`` is the (z-c)^-2 coefficient; simple poles carry leading = 0
-    with residue_and_tail[0] != 0.  When leading = (1-d^2)/2 for an integer
-    d >= 1 within tolerance, local_degree_hint is that d.
+    with residue_and_tail[0] != 0.
     """
 
     pole: complex
     leading: complex
     residue_and_tail: tuple
-    local_degree_hint: Optional[int] = None
+
+    def _integer_delta(self) -> Optional[int]:
+        # The one integer-degree test: leading = (1 - d^2)/2 for an integer
+        # d >= 0, within 1e-8 relative; d = 0 is the parabolic germ.
+        lead = complex(self.leading)
+        d = round(math.sqrt(max(1.0 - 2.0 * lead.real, 0.0)))
+        if abs(lead - (1.0 - d * d) / 2.0) <= 1e-8 * (1.0 + abs(lead)):
+            return d
+        return None
+
+    @property
+    def local_degree_hint(self) -> Optional[int]:
+        """The local degree d >= 1 when leading = (1-d^2)/2, else None."""
+        return self._integer_delta() or None
 
 
 class InfinityType:
@@ -106,24 +118,7 @@ def _expand(phi: RationalMap, c: complex, m: int, order: int) -> LaurentData:
         raise PoleTooHigh(f"pole of order {m} at {c}")
     u = series_div(phi.num.shift(c), phi.den.shift(c)[m:], order + 3)
     full = [0j] * (2 - m) + u
-    leading = full[0]
-    return LaurentData(pole=c, leading=leading,
-                       residue_and_tail=tuple(full[1 : order + 1]),
-                       local_degree_hint=_degree_hint(leading))
-
-
-def _degree_hint(leading):
-    # leading = (1 - d^2)/2  =>  d = sqrt(1 - 2*leading)
-    val = 1.0 - 2.0 * complex(leading)
-    if val.real < 0.0:
-        return None
-    d = round(math.sqrt(max(val.real, 0.0)))
-    if d < 1:
-        return None
-    target = (1.0 - d * d) / 2.0
-    if abs(complex(leading) - target) <= 1e-8 * (1.0 + abs(complex(leading))):
-        return d
-    return None
+    return LaurentData(pole=c, leading=full[0], residue_and_tail=tuple(full[1 : order + 1]))
 
 
 def infinity_type(phi: RationalMap) -> InfinityType:
@@ -170,12 +165,12 @@ def e_sums(points, params, count: int):
     return out
 
 
-def critical_points(f: RationalMap, tol: float = 1e-9):
+def critical_points(f: RationalMap):
     """Finite critical points of f (roots of the numerator Wronskian)."""
     w = numerator_wronskian(f)
     if w.degree < 1:
         return []
-    return poly_roots(w, tol)
+    return poly_roots(w)
 
 
 def pole_report(phi: RationalMap, order: int = 8):

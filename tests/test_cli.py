@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from schwarzian import FiberSolveReport, Poly
+from schwarzian import FiberSolveReport, Poly, RationalMap, merom_generator, y_polynomial
 from schwarzian.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
+from schwarzian.jsonio import encode_rational
 
 
 def run_cli(monkeypatch, capsys, argv, payload):
@@ -41,6 +42,51 @@ def test_check_local_pass(monkeypatch, capsys):
     assert out["primitive_exists"] is True
     assert out["holonomy"] == "Identity"
     assert abs(complex(*out["determinant"])) <= 1e-9
+
+
+def test_local_verdicts_agree(monkeypatch, capsys):
+    # germs with a_d = Y_d(a_1..a_{d-1}) + t straddle the obstruction
+    # threshold; check's primitive_exists and holonomy and reconstruct-local
+    # must give one verdict on each
+    rng = np.random.default_rng(20261017)
+    verdicts = set()
+    for d in range(2, 6):
+        for t in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            a = list(rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1))
+            a.append(y_polynomial(d, a) + t)
+            phi = RationalMap(Poly([(1 - d * d) / 2, *a]), Poly([0, 0, 1]))
+            body = {"phi": encode_rational(phi), "point": [0, 0]}
+            code, out, _ = run_cli(monkeypatch, capsys, ["check"], dict(body, mode="local"))
+            assert code == EXIT_OK and out["local_degree"] == d
+            code, _, _ = run_cli(monkeypatch, capsys, ["reconstruct-local"], body)
+            assert code in (EXIT_OK, EXIT_DEGENERATE)
+            verdict = out["primitive_exists"]
+            assert (out["holonomy"] == "Identity") == verdict
+            assert (code == EXIT_OK) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_check_merom_pass_and_one_shifted_pole(monkeypatch, capsys):
+    pts = [0.0, 1.0, -1.0 + 0.5j]
+    psi = merom_generator(pts, [0.7, -0.3j, 1.2 + 0.4j], Poly.zero())
+    payload = {"phi": encode_rational(psi), "mode": "merom"}
+    code, out, _ = run_cli(monkeypatch, capsys, ["check"], payload)
+    assert code == EXIT_OK
+    assert out["overall"] is True
+    assert [e["pass"] for e in out["equations"]] == [True] * 3
+    # + 1e-3 * e_1(z), the Lagrange basis polynomial at pts[1], shifts a_2 at
+    # pts[1] alone: a_2 at the other poles is untouched, and a_1 everywhere
+    e1 = Poly.from_roots([pts[0], pts[2]]) * (1.0 / ((pts[1] - pts[0]) * (pts[1] - pts[2])))
+    shifted = RationalMap(psi.num + 1e-3 * (e1 * psi.den), psi.den, reduce=False)
+    payload = {"phi": encode_rational(shifted), "mode": "merom"}
+    code, out, _ = run_cli(monkeypatch, capsys, ["check"], payload)
+    assert code == EXIT_OK
+    assert out["overall"] is False
+    assert len(out["equations"]) == 3
+    for e in out["equations"]:
+        pole = complex(*json.loads(e["name"].removeprefix("c2@")))
+        assert e["pass"] is (abs(pole - pts[1]) > 1e-6)
 
 
 def test_check_rational_pass_and_fail(monkeypatch, capsys):
@@ -162,7 +208,32 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
 
 def test_flag_validation(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
-    assert main(["check", "--tol", "-1"]) == EXIT_PARSE
+    assert main(["check", "--order", "0"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv", [["check", "--tol", "1e-9"], ["cubic", "--seed", "1"],
+                                  ["solve", "--order", "8"]])
+def test_flags_only_where_they_act(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+
+
+def test_negative_seed_exits_2(monkeypatch, capsys):
+    # numpy refuses negative seeds; the CLI must say so as a usage error
+    code, out, err = run_cli(monkeypatch, capsys, ["solve", "--seed", "-1"],
+                             {"points": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
+    assert code == EXIT_PARSE
+    assert out is None
+    assert "--seed" in err
+
+
+def test_check_rejects_degree_field(monkeypatch, capsys):
+    phi = {"num": [[-1.5, 0]], "den": [[0, 0], [0, 0], [1, 0], [-2, 0], [1, 0]]}
+    code, _, err = run_cli(monkeypatch, capsys, ["check"],
+                           {"phi": phi, "mode": "local", "point": [0, 0], "d": 3})
+    assert code == EXIT_PARSE
+    assert "'d'" in err
 
 
 def test_input_from_file(monkeypatch, capsys, tmp_path):

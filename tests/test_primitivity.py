@@ -113,6 +113,27 @@ def test_classify_holonomy_obstructed():
     assert abs(h.obstruction - 0.125) <= 1e-12
 
 
+def test_classify_holonomy_short_tail_raises():
+    # d = 2 needs a_1..a_3; a short tail must not be read as zeros
+    from schwarzian.quaddiff import LaurentData
+
+    germ = LaurentData(pole=0j, leading=-1.5, residue_and_tail=(0j,))
+    with pytest.raises(DegenerateInput):
+        classify_holonomy(germ, TruncatedSeries(base=0j, coeffs=germ.residue_and_tail))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("eps", [1e-9, 5e-9, 2e-8, 5e-8])
+def test_degree_hint_and_holonomy_agree_near_integer_degree(d, eps):
+    # leading = (1-d^2)/2 + eps: the degree hint is None exactly when the
+    # holonomy class is one of the non-integer-degree kinds
+    phi = RationalMap(Poly([(1 - d * d) / 2 + eps]), Poly([0, 0, 1]), reduce=False)
+    germ = laurent_at(phi, 0, 8)
+    kind = classify_holonomy(germ, TruncatedSeries(base=0j, coeffs=germ.residue_and_tail)).kind
+    non_integer = kind in (HolonomyClass.ELLIPTIC, HolonomyClass.PARABOLIC_ZERO)
+    assert (germ.local_degree_hint is None) == non_integer
+
+
 def test_classify_holonomy_elliptic():
     from schwarzian.quaddiff import LaurentData
 
