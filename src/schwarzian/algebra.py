@@ -38,12 +38,6 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("riemann-infinity")
-
 
 INF = _Infinity()
 
@@ -82,10 +76,15 @@ class Poly:
 
     @staticmethod
     def from_roots(roots):
-        p = Poly.one()
+        out = [1.0 + 0j]
         for r in roots:
-            p = p * Poly((-complex(r), 1.0))
-        return p
+            # Multiply by (z - r) in place, top coefficient first.
+            nr = -complex(r)
+            out.append(out[-1])
+            for k in range(len(out) - 2, 0, -1):
+                out[k] = out[k - 1] + out[k] * nr
+            out[0] = out[0] * nr
+        return Poly(out)
 
     @property
     def is_zero(self):
@@ -125,9 +124,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -188,12 +184,6 @@ class Poly:
             for k, c in enumerate(dcoef):
                 rem[i + k] -= q * c
         return Poly(quot), Poly(rem)
-
-    def __truediv__(self, other):
-        if isinstance(other, Poly):
-            q, r = self.divmod(other)
-            return q
-        return Poly([c / other for c in self.coeffs])
 
 
 def _as_poly(p):
@@ -278,8 +268,8 @@ def poly_gcd(p: Poly, q: Poly):
 
     Euclid with monic normalization at every step; a remainder is declared
     zero when its scale drops below tol relative to the running scale.  The
-    candidate is verified by division, with a root-matching fallback for the
-    ill-conditioned cases.
+    candidate is verified by division; when that fails, p and q are treated
+    as coprime (Poly.one()), which leaves p/q correct as a function.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else Poly.zero()
@@ -295,7 +285,7 @@ def poly_gcd(p: Poly, q: Poly):
             g = b.monic()
             if _divides(p, g, tol) and _divides(q, g, tol):
                 return g
-            return _gcd_by_roots(p, q, tol)
+            return Poly.one()
         a, b = b, r.monic()
     return a.monic()
 
@@ -303,23 +293,6 @@ def poly_gcd(p: Poly, q: Poly):
 def _divides(p: Poly, g: Poly, tol: float) -> bool:
     _, r = p.divmod(g)
     return r.is_zero or r.scale() <= tol * (1.0 + p.scale())
-
-
-def _gcd_by_roots(p: Poly, q: Poly, tol: float):
-    if p.degree < 1 or q.degree < 1:
-        return Poly.one()
-    rp = poly_roots(p)
-    rq = list(poly_roots(q))
-    common = []
-    match_tol = 1e-7 * (1.0 + max(max(abs(r) for r in rp), max(abs(r) for r in rq)))
-    for r in rp:
-        best = None
-        for i, s in enumerate(rq):
-            if abs(r - s) <= match_tol and (best is None or abs(r - rq[best]) > abs(r - s)):
-                best = i
-        if best is not None:
-            common.append((r + rq.pop(best)) / 2.0)
-    return Poly.from_roots(common)
 
 
 class RationalMap:
@@ -363,71 +336,11 @@ class RationalMap:
             return INF
         return nv / dv
 
-    def __add__(self, other):
-        other = _as_rational(other)
-        return RationalMap(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalMap(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return _as_rational(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        return RationalMap(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        if other.is_zero:
-            raise DegenerateInput("division by the zero function")
-        return RationalMap(self.num * other.den, self.den * other.num)
-
-    def deriv(self):
-        return RationalMap(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )
-
     def degree(self):
         return max(self.num.degree, self.den.degree)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalMap):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
     def __repr__(self):
         return f"RationalMap({self.num!r}, {self.den!r})"
-
-    def close_to(self, other, tol=1e-8):
-        """Coefficientwise comparison of the normalized representations."""
-        scale = 1.0 + max(self.num.scale(), other.num.scale(),
-                          self.den.scale(), other.den.scale())
-        for a, b in ((self.num, other.num), (self.den, other.den)):
-            if len(a.coeffs) != len(b.coeffs):
-                return False
-            for x, y in zip(a.coeffs, b.coeffs):
-                if abs(x - y) > tol * scale:
-                    return False
-        return True
-
-
-def _as_rational(f):
-    if isinstance(f, RationalMap):
-        return f
-    if isinstance(f, Poly):
-        return RationalMap(f, Poly.one(), reduce=False)
-    return RationalMap(Poly((complex(f),)), Poly.one(), reduce=False)
 
 
 @dataclass(frozen=True)
@@ -449,13 +362,6 @@ class TruncatedSeries:
     @property
     def order(self):
         return len(self.coeffs)
-
-    def __call__(self, z):
-        t = complex(z) - self.base
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
 
 # Truncated power series helpers on plain coefficient lists (base 0).
@@ -573,13 +479,17 @@ def mobius_from_triples(src, dst) -> Mobius:
     return _to_zero_one_inf(*dst).inverse().compose(_to_zero_one_inf(*src))
 
 
-def riemann_close(p, q, tol=1e-9):
-    """Chordal-metric comparison of two Riemann-sphere points."""
+def _chordal(p, q):
+    """Chordal distance between two Riemann-sphere points."""
     if is_inf(p) and is_inf(q):
-        return True
+        return 0.0
     if is_inf(p) or is_inf(q):
         finite = q if is_inf(p) else p
-        return 1.0 / math.hypot(1.0, abs(finite)) <= tol
+        return 1.0 / math.hypot(1.0, abs(finite))
     p, q = complex(p), complex(q)
-    num = abs(p - q)
-    return num / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2)) <= tol
+    return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
+
+
+def riemann_close(p, q, tol=1e-9):
+    """Chordal-metric comparison of two Riemann-sphere points."""
+    return _chordal(p, q) <= tol

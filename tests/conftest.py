@@ -22,18 +22,42 @@ def rand_poly(rng, degree, scale=1.0):
     return Poly(coeffs)
 
 
+def rational_close(f: RationalMap, g: RationalMap, tol=1e-8) -> bool:
+    """Coefficientwise comparison of the normalized representations: equal
+    lengths, and every coefficient within tol * (1 + the largest one)."""
+    scale = 1.0 + max(f.num.scale(), g.num.scale(), f.den.scale(), g.den.scale())
+    return all(
+        len(a.coeffs) == len(b.coeffs)
+        and all(abs(x - y) <= tol * scale for x, y in zip(a.coeffs, b.coeffs))
+        for a, b in ((f.num, g.num), (f.den, g.den))
+    )
+
+
 def compose_rational(u: RationalMap, v: RationalMap) -> RationalMap:
-    """u(v(z)) by Horner evaluation of u's numerator and denominator at v."""
+    """Independent oracle: u(v(z)) for u = P/Q and v = n/d of degree N =
+    deg u, as sum P_k n^k d^(N-k) over sum Q_k n^k d^(N-k); numpy.polynomial
+    arithmetic."""
+    n, d = np.array(v.num.coeffs), np.array(v.den.coeffs)
+    top = u.degree()
 
-    def eval_poly_at(p, arg):
-        acc = RationalMap(Poly.zero(), Poly.one(), reduce=False)
-        for c in reversed(p.coeffs):
-            acc = acc * arg + c
-        return acc
+    def homogenize(coeffs):
+        out = np.zeros(1, dtype=complex)
+        for k, c in enumerate(coeffs):
+            term = npoly.polymul(npoly.polypow(n, k), npoly.polypow(d, top - k))
+            out = npoly.polyadd(out, c * term)
+        return Poly(out)
 
-    num = eval_poly_at(u.num, v)
-    den = eval_poly_at(u.den, v)
-    return num / den
+    return RationalMap(homogenize(u.num.coeffs), homogenize(u.den.coeffs))
+
+
+def tetrahedral_images(rng, n):
+    """n Mobius images of the regular tetrahedron {0, 1, j, j^2}: the map
+    z -> (az + b)/(cz + d) with complex standard-normal a, b, c, d."""
+    out = []
+    for _ in range(n):
+        a, b, c, d = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tolist()
+        out.append([(a * z + b) / (c * z + d) for z in (0j, 1 + 0j, J, J * J)])
+    return out
 
 
 def series_schwarzian_laurent(f_series, d, n_out):

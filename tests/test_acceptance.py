@@ -42,7 +42,12 @@ from schwarzian import (
 )
 from schwarzian.algebra import riemann_close
 
-from conftest import compose_rational, rand_complex, series_schwarzian_laurent
+from conftest import (
+    compose_rational,
+    rand_complex,
+    rational_close,
+    series_schwarzian_laurent,
+)
 
 
 def _report(label, ok):
@@ -57,8 +62,8 @@ def _mobius_compose_rational(m: Mobius, f: RationalMap) -> RationalMap:
 
 
 def test_criterion_01_worked_example_exactness(f1, f2, phi1, phi2):
-    ok = schwarzian(f1).close_to(phi1, tol=1e-10)
-    ok = ok and schwarzian(f2).close_to(phi2, tol=1e-10)
+    ok = rational_close(schwarzian(f1), phi1, tol=1e-10)
+    ok = ok and rational_close(schwarzian(f2), phi2, tol=1e-10)
     _report("criterion 01 worked-example exactness", ok)
 
 
@@ -211,15 +216,16 @@ def test_criterion_08_cubic_geometry(rng):
             continue
         scale = 1 + max(abs(x) for x in w)
         disc_zero = abs(criticality_discriminant(w)) <= 1e-8 * scale
-        tet = is_regular_tetrahedron(list(roots), tol=1e-6)
+        tet = is_regular_tetrahedron(list(roots))
         merged = len(cubic_fiber_explicit(w)) == 1
         ok = ok and (disc_zero == tet == merged)
         checked += 1
     base = [1, J, J * J, 0]
-    for k in range(10):
+    for k in range(200):
         m = Mobius(*(rand_complex(rng) + 0.3 for _ in range(4)))
         imgs = [m(p) for p in base]
         ok = ok and is_regular_tetrahedron(imgs)
+        ok = ok and len(cubic_fiber_explicit(np.poly(imgs)[::-1][:4])) == 1
         other = [rand_complex(rng, 1.5) for _ in range(4)]
         if min(abs(a - b) for i, a in enumerate(other) for b in other[i + 1 :]) > 0.1:
             # a random quadruple is essentially never tetrahedral
@@ -260,8 +266,8 @@ def test_criterion_10_mobius_invariance(rng):
     for f in pool:
         for _ in range(3):
             m = Mobius(*(rand_complex(rng) + 0.4 for _ in range(4)))
-            ok = ok and schwarzian(_mobius_compose_rational(m, f)).close_to(
-                schwarzian(f), tol=1e-8
+            ok = ok and rational_close(
+                schwarzian(_mobius_compose_rational(m, f)), schwarzian(f), tol=1e-8
             )
     for f in pool[:2]:
         alpha, beta = rand_complex(rng) + 1.0, rand_complex(rng)
@@ -278,7 +284,7 @@ def test_criterion_10_mobius_invariance(rng):
         v = RationalMap(Poly([rand_complex(rng), rand_complex(rng), 1.0]), Poly([1]))
         uv = compose_rational(u, v)
         s_uv, s_u, s_v = schwarzian(uv), schwarzian(u), schwarzian(v)
-        vp = v.deriv()
+        vp = v.num.deriv()
         for _ in range(5):
             z = rand_complex(rng, 0.9)
             lhs = s_uv(z)

@@ -150,11 +150,14 @@ def test_cubic_subcommand(monkeypatch, capsys):
 
 def test_cubic_tetrahedral_points(monkeypatch, capsys):
     j = complex(-0.5, np.sqrt(3) / 2)
-    pts = [[1, 0], [j.real, j.imag], [j.real, -j.imag], [0, 0]]
-    code, out, _ = run_cli(monkeypatch, capsys, ["cubic"], {"points": pts})
-    assert code == EXIT_OK
-    assert out["tetrahedron"] is True
-    assert len(out["fiber_branches"]) == 1
+    base = [1, j, j.conjugate(), 0]
+    # the tetrahedron itself and its image under z -> (z + 1)/(2z + i)
+    for pts in (base, [(z + 1) / (2 * z + 1j) for z in base]):
+        payload = {"points": [[complex(p).real, complex(p).imag] for p in pts]}
+        code, out, _ = run_cli(monkeypatch, capsys, ["cubic"], payload)
+        assert code == EXIT_OK
+        assert out["tetrahedron"] is True
+        assert len(out["fiber_branches"]) == 1
 
 
 def test_reconstruct_local_subcommand(monkeypatch, capsys):

@@ -22,14 +22,14 @@ from schwarzian import (
     wronskian,
 )
 from schwarzian.algebra import riemann_close
-from schwarzian.cubic import TETRAHEDRAL_RATIOS
+from schwarzian.cubic import _induced_permutation
 
-from conftest import rand_complex
+from conftest import rand_complex, tetrahedral_images
 
 
 def test_cross_ratio_normalization():
     # [0, 1, t, inf] = t under this convention's Mobius normalization
-    assert abs(cross_ratio(1, J, J * J, 0) - TETRAHEDRAL_RATIOS[0]) <= 1e-10
+    assert abs(cross_ratio(1, J, J * J, 0) - (1 + 1j * np.sqrt(3)) / 2) <= 1e-10
 
 
 def test_cross_ratio_finite_formula():
@@ -96,9 +96,11 @@ def test_tetrahedron_mobius_images(rng):
     for _ in range(10):
         m = Mobius(*(rand_complex(rng) + 0.3 for _ in range(4)))
         imgs = [m(p) for p in base]
-        if any(p is INF for p in imgs):
-            continue
         assert is_regular_tetrahedron(imgs)
+    for z0 in base:  # z -> a/(z - z0) + b sends z0 to INF
+        a, b = rand_complex(rng) + 0.3, rand_complex(rng)
+        assert is_regular_tetrahedron([INF if z == z0 else a / (z - z0) + b for z in base])
+    assert not is_regular_tetrahedron([INF, 0, 1, 2])
 
 
 def test_criticality_discriminant_examples():
@@ -146,10 +148,14 @@ def test_three_predicates_agree(rng):
             abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
         ) < 1e-3:
             continue
-        tet = is_regular_tetrahedron(list(roots), tol=1e-6)
+        tet = is_regular_tetrahedron(list(roots))
         merged = len(cubic_fiber_explicit(w)) == 1
         disc_zero = abs(disc) <= 1e-8 * (1 + max(abs(x) for x in w))
         assert tet == merged == disc_zero
+    for imgs in tetrahedral_images(np.random.default_rng(2), 200):
+        w = np.poly(imgs)[::-1][:4]
+        assert is_regular_tetrahedron(imgs)
+        assert len(cubic_fiber_explicit(w)) == 1
 
 
 def test_h_alpha_structure():
@@ -215,3 +221,16 @@ def test_lift_correspondence_schwarzian_compatible():
     for c in critical_points(h):
         g = laurent_at(s, c, 2)
         assert abs(g.leading - (-1.5)) <= 1e-7
+
+
+def test_lift_correspondence_close_critical_values():
+    # Critical values 1 and 1 + 1.4e-7 lie within the matching tolerance of
+    # each other, so each image must go to its nearest value.
+    h = h_alpha(cmath.sqrt(1.0124267453851876 + 0.0020538062647742377j))
+    crit = critical_points(h)
+    values = [h(c) for c in crit]
+    for m in four_group(crit):
+        assert sorted(_induced_permutation(m, crit)) == [0, 1, 2, 3]
+    for n in four_group(values):
+        assert sorted(_induced_permutation(n, values)) == [0, 1, 2, 3]
+    assert len(lift_correspondence(h)) == 3

@@ -22,7 +22,7 @@ from schwarzian import (
 )
 from schwarzian.primitivity import L_values, RATIONAL_VARIANTS
 
-from conftest import rand_complex
+from conftest import rand_complex, rational_close
 
 
 def test_k_coefficients():
@@ -167,7 +167,7 @@ def test_l_values_nonzero_for_generic_params():
 def test_build_phi_reproduces_schwarzian(f1, phi1):
     config = CriticalConfiguration((0, 1), (2, -2))
     phi = build_phi(config)
-    assert phi.close_to(phi1, tol=1e-10)
+    assert rational_close(phi, phi1, tol=1e-10)
 
 
 def test_build_phi_poles_and_residues(rng):
@@ -225,7 +225,7 @@ def test_polynomial_criterion_matches_actual_polynomials(rng):
     config, rec = check_polynomial_criterion(roots)
     assert rec.overall
     phi = build_phi(config)
-    assert s.close_to(phi, tol=1e-8)
+    assert rational_close(s, phi, tol=1e-8)
 
 
 def test_merom_generator_zero_g():
