@@ -268,8 +268,8 @@ def poly_gcd(p: Poly, q: Poly):
 
     Euclid with monic normalization at every step; a remainder is declared
     zero when its scale drops below tol relative to the running scale.  The
-    candidate is verified by division; when that fails, p and q are treated
-    as coprime (Poly.one()), which leaves p/q correct as a function.
+    candidate is verified by division; when that fails, p and q have roots
+    too close to tell shared from distinct, and DegenerateInput is raised.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else Poly.zero()
@@ -285,7 +285,7 @@ def poly_gcd(p: Poly, q: Poly):
             g = b.monic()
             if _divides(p, g, tol) and _divides(q, g, tol):
                 return g
-            return Poly.one()
+            raise DegenerateInput("polynomials nearly share a root")
         a, b = b, r.monic()
     return a.monic()
 

@@ -60,26 +60,35 @@ def ratio_orbit(t):
 
 def _equianharmonic(e, d, c, b, a):
     """True iff the binary quartic a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4
-    has vanishing invariant I = 12ae - 3bd + c^2: |I| <= 1e-10 max|coeff|^2.
+    has vanishing invariant I = 12ae - 3bd + c^2.
 
     With distinct roots I = 0 iff the roots are a Mobius image of
     {1, j, j^2, 0}, iff the cubic fiber over the quartic has one branch.
-    Measured |I| / max|coeff|^2 over 1e5 samples each: at most 2.9e-15 on
-    such images, at least 3.5e-5 on complex-normal random quadruples.
+    I counts as zero when
+        |I| <= 1e-8 |J|^(2/3) + 1e-12 (12|ae| + 3|bd| + |c|^2),
+    J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3.  I^3 / J^2 depends only on the
+    cross ratio t of the roots, so the first term is unchanged by Mobius maps;
+    near the tetrahedron it reads |t - exp(+-i pi/3)| <= 1.7e-8.  The second
+    is the rounding of I's own terms, which leads when the roots lie far from
+    0 compared with their spread: on 4e5 Mobius images of the tetrahedron,
+    scaled by 1e-3..1e3 and half of them translated by up to 1e3 times their
+    spread, |I| was at most 58 machine epsilons times those terms.
     """
-    inv = 12.0 * a * e - 3.0 * b * d + c * c
-    return abs(inv) <= 1e-10 * max(abs(a), abs(b), abs(c), abs(d), abs(e)) ** 2
+    inv_i = 12.0 * a * e - 3.0 * b * d + c * c
+    inv_j = (72.0 * a * c * e + 9.0 * b * c * d
+             - 27.0 * (a * d * d + e * b * b) - 2.0 * c**3)
+    rounding = 12.0 * abs(a * e) + 3.0 * abs(b * d) + abs(c) ** 2
+    return abs(inv_i) <= 1e-8 * abs(inv_j) ** (2.0 / 3.0) + 1e-12 * rounding
 
 
 def is_regular_tetrahedron(points) -> bool:
     """True iff the four points are a Mobius image of {1, j, j^2, 0}.
 
-    Tested on the binary quartic with these roots; a point at INF is a root
-    at y = 0, so its x^4 coefficient is zero.
+    Tested on the binary quartic x y (x - y)(x - t y), whose roots 0, INF,
+    1 and t, t the cross ratio of the points, are a Mobius image of them.
     """
-    pts = _check_four(points)
-    coeffs = list(Poly.from_roots([p for p in pts if not is_inf(p)]).coeffs)
-    return _equianharmonic(*coeffs, *[0j] * (5 - len(coeffs)))
+    t = cross_ratio(*_check_four(points))
+    return _equianharmonic(0j, t, -1.0 - t, 1.0, 0j)
 
 
 def criticality_discriminant(w):

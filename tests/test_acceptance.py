@@ -47,6 +47,7 @@ from conftest import (
     rand_complex,
     rational_close,
     series_schwarzian_laurent,
+    tetrahedral_images,
 )
 
 
@@ -220,10 +221,7 @@ def test_criterion_08_cubic_geometry(rng):
         merged = len(cubic_fiber_explicit(w)) == 1
         ok = ok and (disc_zero == tet == merged)
         checked += 1
-    base = [1, J, J * J, 0]
-    for k in range(200):
-        m = Mobius(*(rand_complex(rng) + 0.3 for _ in range(4)))
-        imgs = [m(p) for p in base]
+    for imgs in tetrahedral_images(rng, 200):
         ok = ok and is_regular_tetrahedron(imgs)
         ok = ok and len(cubic_fiber_explicit(np.poly(imgs)[::-1][:4])) == 1
         other = [rand_complex(rng, 1.5) for _ in range(4)]

@@ -9,6 +9,7 @@ from schwarzian import (
     RationalMap,
     mobius_from_triples,
     poly_discriminant,
+    poly_gcd,
     poly_resultant,
     poly_roots,
 )
@@ -138,6 +139,17 @@ def test_rational_normalize_coprime_fixed_point():
 def test_rational_normalize_rejects_zero_over_zero():
     with pytest.raises(DegenerateInput):
         RationalMap(Poly.zero(), Poly.zero())
+
+
+def test_rational_normalize_rejects_undecidable_common_root():
+    # The roots 0 and 1e-8 are too close for the gcd's zero tolerance to
+    # tell shared from distinct; Euclid's candidate fails verification.
+    num = Poly.from_roots([0, 1])
+    den = Poly.from_roots([1e-8, 1, -2, 1j])
+    with pytest.raises(DegenerateInput):
+        poly_gcd(num, den)
+    with pytest.raises(DegenerateInput):
+        RationalMap(num, den)
 
 
 def test_mobius_apply_basic():

@@ -146,13 +146,21 @@ def test_cubic_subcommand(monkeypatch, capsys):
     assert len(out["orbit"]) == 6
     assert abs(complex(*out["criticality_discriminant"]) - (-12)) <= 1e-9
     assert out["tetrahedron"] is False
+    # 100 + {0, 1, 2, 3i} lies far from 0 compared with its spread
+    payload = {"points": [[100, 0], [101, 0], [102, 0], [100, 3]]}
+    code, out, _ = run_cli(monkeypatch, capsys, ["cubic"], payload)
+    assert code == EXIT_OK
+    assert out["tetrahedron"] is False
+    assert len(out["fiber_branches"]) == 2
 
 
 def test_cubic_tetrahedral_points(monkeypatch, capsys):
     j = complex(-0.5, np.sqrt(3) / 2)
     base = [1, j, j.conjugate(), 0]
-    # the tetrahedron itself and its image under z -> (z + 1)/(2z + i)
-    for pts in (base, [(z + 1) / (2 * z + 1j) for z in base]):
+    # the tetrahedron itself and its images under z -> (z + 1)/(2z + i) and
+    # z -> z + 100
+    for pts in (base, [(z + 1) / (2 * z + 1j) for z in base],
+                [z + 100 for z in base]):
         payload = {"points": [[complex(p).real, complex(p).imag] for p in pts]}
         code, out, _ = run_cli(monkeypatch, capsys, ["cubic"], payload)
         assert code == EXIT_OK

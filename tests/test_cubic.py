@@ -92,11 +92,9 @@ def test_tetrahedron_canonical():
 
 
 def test_tetrahedron_mobius_images(rng):
-    base = [1, J, J * J, 0]
-    for _ in range(10):
-        m = Mobius(*(rand_complex(rng) + 0.3 for _ in range(4)))
-        imgs = [m(p) for p in base]
+    for imgs in tetrahedral_images(rng, 10):
         assert is_regular_tetrahedron(imgs)
+    base = [1, J, J * J, 0]
     for z0 in base:  # z -> a/(z - z0) + b sends z0 to INF
         a, b = rand_complex(rng) + 0.3, rand_complex(rng)
         assert is_regular_tetrahedron([INF if z == z0 else a / (z - z0) + b for z in base])
@@ -152,10 +150,15 @@ def test_three_predicates_agree(rng):
         merged = len(cubic_fiber_explicit(w)) == 1
         disc_zero = abs(disc) <= 1e-8 * (1 + max(abs(x) for x in w))
         assert tet == merged == disc_zero
+    # Moved away from 0 or rescaled, a set keeps its verdict and branch count.
+    for pts in ([100, 101, 102, 100 + 3j], [0, 1e-3, 2e-3, 3e-3j]):
+        assert not is_regular_tetrahedron(pts)
+        assert len(cubic_fiber_explicit(np.poly(pts)[::-1][:4])) == 2
     for imgs in tetrahedral_images(np.random.default_rng(2), 200):
-        w = np.poly(imgs)[::-1][:4]
-        assert is_regular_tetrahedron(imgs)
-        assert len(cubic_fiber_explicit(w)) == 1
+        for pts in (imgs, [1e-3 * p for p in imgs], [1e3 * p for p in imgs],
+                    [p + 100 for p in imgs]):
+            assert is_regular_tetrahedron(pts)
+            assert len(cubic_fiber_explicit(np.poly(pts)[::-1][:4])) == 1
 
 
 def test_h_alpha_structure():
