@@ -38,6 +38,9 @@ class _Infinity:
     def __repr__(self):
         return "INF"
 
+    def __complex__(self):
+        raise DegenerateInput("infinity given where a finite point is needed")
+
 
 INF = _Infinity()
 
@@ -129,11 +132,7 @@ class Poly:
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs):
-                out[i + k] += a * b
-        return Poly(out)
+        return Poly(np.convolve(self.coeffs, other.coeffs).tolist())
 
     __rmul__ = __mul__
 
@@ -184,6 +183,12 @@ class Poly:
             for k, c in enumerate(dcoef):
                 rem[i + k] -= q * c
         return Poly(quot), Poly(rem)
+
+
+def _w(p, q):
+    """Ascending coefficients of p'q - q'p; bilinear in the arrays p and q."""
+    return (np.convolve(p[1:] * np.arange(1, len(p)), q)
+            - np.convolve(q[1:] * np.arange(1, len(q)), p))
 
 
 def _as_poly(p):
@@ -367,13 +372,10 @@ class TruncatedSeries:
 # Truncated power series helpers on plain coefficient lists (base 0).
 
 def series_mul(a, b, n):
-    out = [0j] * n
-    for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        for k, y in enumerate(b[: n - i]):
-            out[i + k] += x * y
-    return out
+    # Both factors padded to n terms: coefficient k then sums the same
+    # products in the same order at every n.
+    a, b = (list(x[:n]) + [0j] * (n - len(x[:n])) for x in (a, b))
+    return np.convolve(a, b)[:n].tolist()
 
 
 def series_inv(a, n):
@@ -401,7 +403,7 @@ class Mobius:
     def __init__(self, a, b, c, d):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
-        if abs(det) <= 1e-14 * (1.0 + max(abs(a), abs(b), abs(c), abs(d)) ** 2):
+        if abs(det) <= 1e-14 * max(abs(a), abs(b), abs(c), abs(d)) ** 2:
             raise DegenerateInput("singular Mobius matrix")
         s = cmath.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s

@@ -10,7 +10,7 @@ from .algebra import (
     Poly,
     RationalMap,
     _chordal,
-    is_inf,
+    _to_zero_one_inf,
     mobius_from_triples,
     require_distinct,
     riemann_close,
@@ -29,25 +29,10 @@ def _check_four(points):
 
 
 def cross_ratio(a, b, c, d):
-    """[a,b,c,d] = (a-c)(b-d) / ((c-b)(d-a)), with the standard limits at INF."""
-    pts = _check_four((a, b, c, d))
-    n_inf = sum(1 for p in pts if is_inf(p))
-    if n_inf > 1:
-        raise DegenerateInput("at most one point may be infinity")
-    if is_inf(a):
-        b, c, d = complex(b), complex(c), complex(d)
-        return (b - d) / (b - c)
-    if is_inf(b):
-        a, c, d = complex(a), complex(c), complex(d)
-        return (a - c) / (a - d)
-    if is_inf(c):
-        a, b, d = complex(a), complex(b), complex(d)
-        return (b - d) / (a - d)
-    if is_inf(d):
-        a, b, c = complex(a), complex(b), complex(c)
-        return (a - c) / (b - c)
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    return ((a - c) * (b - d)) / ((c - b) * (d - a))
+    """[a,b,c,d] = (a-c)(b-d) / ((c-b)(d-a)), the image of a under the Mobius
+    map sending (c, b, d) to (0, 1, INF); the standard limits at INF."""
+    a, b, c, d = _check_four((a, b, c, d))
+    return _to_zero_one_inf(c, b, d)(a)
 
 
 def ratio_orbit(t):
@@ -128,14 +113,15 @@ def cubic_fiber_explicit(w):
 def h_alpha(alpha) -> RationalMap:
     """The degree-3 family h_a(z) = (a(z^3+2) + 3z^2) / (3az + 2z^3 + 1).
 
-    Critical points {1, j, j^2, a^2}; requires a^6 != 1.
+    Critical points {1, j, j^2, a^2}; requires a^6 != 1, which keeps num and
+    den coprime: their resultant is -54(a+1)^2(a^2-a+1)^2.
     """
     a = complex(alpha)
     if abs(a**6 - 1.0) <= 1e-9:
         raise DegenerateInput("alpha^6 = 1 degenerates the family")
     num = Poly((2.0 * a, 0.0, 3.0, a))
     den = Poly((1.0, 3.0 * a, 0.0, 2.0))
-    return RationalMap(num, den)
+    return RationalMap(num, den, reduce=False)
 
 
 def four_group(points):

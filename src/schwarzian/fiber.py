@@ -12,8 +12,9 @@ from .algebra import (
     Poly,
     RationalMap,
     TruncatedSeries,
+    _w,
     poly_discriminant,
-    poly_resultant,
+    poly_roots,
     require_distinct,
     series_inv,
     series_mul,
@@ -38,12 +39,6 @@ def _pq(mu, x):
     """Ascending coefficient arrays [a_p, 0, 1] and [a_q, 1] of p_a and q_a."""
     x = np.asarray(x, dtype=complex)
     return np.concatenate([x[:mu], [0, 1]]), np.concatenate([x[mu:], [1]])
-
-
-def _w(p, q):
-    """Ascending coefficients of p'q - q'p; bilinear in the arrays p and q."""
-    return (np.convolve(p[1:] * np.arange(1, len(p)), q)
-            - np.convolve(q[1:] * np.arange(1, len(q)), p))
 
 
 @dataclass(frozen=True)
@@ -235,11 +230,14 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
 
 
 def coords_to_map(coords: NormalizedMapCoords) -> RationalMap:
-    """f_a = p_a / q_a, the degree-(mu+1) rational map of the coordinates."""
+    """f_a = p_a / q_a, the degree-(mu+1) rational map of the coordinates.
+
+    Raises when p vanishes at a root r of q to within the rounding of its
+    terms, |p(r)| <= 1e-12 sum_k |p_k| |r|^k, a test free of the scale of z."""
     p, q = coords.p_poly(), coords.q_poly()
-    res = poly_resultant(p, q)
-    if abs(res) <= 1e-9 * (1.0 + p.scale() * q.scale()) ** (p.degree + q.degree):
-        raise DegenerateInput("p and q share a root; coordinates outside Omega")
+    for r in poly_roots(q):
+        if abs(p(r)) <= 1e-12 * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs)):
+            raise DegenerateInput("p and q share a root; coordinates outside Omega")
     return RationalMap(p, q, reduce=False)
 
 

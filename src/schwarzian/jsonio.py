@@ -6,6 +6,8 @@ by degree; the point at infinity is the string "inf".
 
 from __future__ import annotations
 
+import cmath
+
 from .algebra import INF, Poly, RationalMap, is_inf
 from .errors import DegenerateInput
 
@@ -21,14 +23,16 @@ def decode_complex(obj):
     if obj == "inf":
         return INF
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        obj = (obj, 0)
     if (
         isinstance(obj, (list, tuple))
         and len(obj) == 2
         and all(isinstance(v, (int, float)) for v in obj)
     ):
-        return complex(obj[0], obj[1])
-    raise DegenerateInput(f"not a complex scalar: {obj!r}")
+        z = complex(obj[0], obj[1])
+        if cmath.isfinite(z):
+            return z
+    raise DegenerateInput(f"not a finite complex scalar: {obj!r}")
 
 
 def encode_poly(p: Poly):

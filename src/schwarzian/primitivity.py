@@ -10,6 +10,7 @@ prescribed simple critical points.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,36 +190,28 @@ def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyCla
     return HolonomyClass(HolonomyClass.ELLIPTIC, multiplier=multiplier, unitary=unitary)
 
 
+def _other_poles(points, alpha, beta):
+    """Per i, sum_{j != i} alpha_j/(c_i - c_j) + beta/(c_i - c_j)^2."""
+    return [sum(aj / (ci - cj) + beta / (ci - cj) ** 2
+                for j, (cj, aj) in enumerate(zip(points, alpha)) if j != i)
+            for i, ci in enumerate(points)]
+
+
 def L_values(config: CriticalConfiguration):
     """L_i = 3 A_i^2 - 4 sum_{j != i} (A_j (c_i - c_j) + 1)/(c_i - c_j)^2."""
-    pts, prm = config.points, config.params
-    out = []
-    for i, (ci, ai) in enumerate(zip(pts, prm)):
-        s = 0j
-        for j, (cj, aj) in enumerate(zip(pts, prm)):
-            if j == i:
-                continue
-            diff = ci - cj
-            s += (aj * diff + 1.0) / (diff * diff)
-        out.append(3.0 * ai * ai - 4.0 * s)
-    return out
+    others = _other_poles(config.points, config.params, 1.0)
+    return [3.0 * ai * ai - 4.0 * s for ai, s in zip(config.params, others)]
 
 
 def build_phi(config: CriticalConfiguration) -> RationalMap:
-    """phi(z) = -(3/2) sum_i (A_i (z - c_i) + 1)/(z - c_i)^2, normalized."""
+    """phi(z) = -(3/2) sum_i (A_i (z - c_i) + 1)/(z - c_i)^2, normalized; the
+    numerator at c_i is -(3/2) prod_{j != i} (c_i - c_j)^2 != 0, so no GCD."""
     pts, prm = config.points, config.params
-    den = Poly.one()
-    factors = [Poly((-c, 1.0)) for c in pts]
-    for f in factors:
-        den = den * f * f
     num = Poly.zero()
     for i, (ci, ai) in enumerate(zip(pts, prm)):
-        term = Poly((1.0 - ai * ci, ai))
-        for j, f in enumerate(factors):
-            if j != i:
-                term = term * f * f
-        num = num + term
-    return RationalMap(-1.5 * num, den)
+        others = pts[:i] + pts[i + 1:]
+        num = num + Poly((1.0 - ai * ci, ai)) * Poly.from_roots(others + others)
+    return RationalMap(-1.5 * num, Poly.from_roots(pts + pts), reduce=False)
 
 
 @dataclass
@@ -296,13 +289,7 @@ def check_polynomial_criterion(points):
     if k < 1:
         raise DegenerateInput("need at least one critical point")
     require_distinct(pts, "critical points")
-    params = []
-    for i, ci in enumerate(pts):
-        s = 0j
-        for j, cj in enumerate(pts):
-            if j != i:
-                s += 1.0 / (ci - cj)
-        params.append(s * 2.0 / 3.0)
+    params = [s * 2.0 / 3.0 for s in _other_poles(pts, [1.0] * k, 0.0)]
     config = CriticalConfiguration(tuple(pts), tuple(params))
     scale = 1.0 + max(abs(c) for c in pts)
     tol = RESIDUAL_TOL * scale * scale
@@ -332,31 +319,14 @@ def merom_generator(points, residues, G: Poly) -> RationalMap:
     if len(pts) != len(res):
         raise DegenerateInput("points and residues must have equal length")
     require_distinct(pts, "critical points")
-    factors = [Poly((-c, 1.0)) for c in pts]
-    prod_all = Poly.one()
-    den = Poly.one()
-    for f in factors:
-        prod_all = prod_all * f
-        den = den * f * f
+    den = Poly.from_roots(pts + pts)
     # everything is assembled over the common denominator directly; no
     # pairwise reduction, so no approximate GCD can misfire
-    num = G * prod_all * den
-    for i, (ci, ri) in enumerate(zip(pts, res)):
-        vi = 0j
-        for j, (cj, rj) in enumerate(zip(pts, res)):
-            if j == i:
-                continue
-            diff = ci - cj
-            vi += -1.5 / (diff * diff) + rj / diff
-        others_sq = Poly.one()
-        ei_num = Poly.one()
-        ei_den = 1.0 + 0j
-        for j, fj in enumerate(factors):
-            if j != i:
-                others_sq = others_sq * fj * fj
-                ei_num = ei_num * fj
-                ei_den *= pts[i] - pts[j]
-        num = num + (-1.5) * others_sq
-        num = num + ri * (factors[i] * others_sq)
-        num = num + ((-0.5 * ri * ri - vi) / ei_den) * (ei_num * den)
+    num = G * Poly.from_roots(pts) * den
+    vs = _other_poles(pts, res, -1.5)
+    for i, (ci, ri, vi) in enumerate(zip(pts, res, vs)):
+        others = pts[:i] + pts[i + 1:]
+        ei_den = math.prod(ci - cj for cj in others)
+        num = num + Poly((-1.5 - ri * ci, ri)) * Poly.from_roots(others + others)
+        num = num + ((-0.5 * ri * ri - vi) / ei_den) * (Poly.from_roots(others) * den)
     return RationalMap(num, den, reduce=False)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Poly, RationalMap, poly_roots, root_clusters, series_div
+from .algebra import Poly, RationalMap, _w, poly_roots, root_clusters, series_div
 from .errors import DegenerateInput, PoleTooHigh
 
 
@@ -70,9 +70,14 @@ class InfinityType:
         return self.kind == other.kind
 
 
+def _wronskian(p: Poly, q: Poly) -> Poly:
+    # Two zeros of padding keep p' and q' nonempty for a constant or zero p, q.
+    return Poly(_w(p.coeffs + (0j, 0j), q.coeffs + (0j, 0j)))
+
+
 def numerator_wronskian(f: RationalMap) -> Poly:
     """W = n'd - nd'; its roots are the finite critical points of f."""
-    return f.num.deriv() * f.den - f.num * f.den.deriv()
+    return _wronskian(f.num, f.den)
 
 
 def schwarzian(f: RationalMap) -> RationalMap:
@@ -82,10 +87,9 @@ def schwarzian(f: RationalMap) -> RationalMap:
     w = numerator_wronskian(f)
     if w.is_zero:
         raise DegenerateInput("constant map has no Schwarzian derivative")
-    n1, d1 = f.num.deriv(), f.den.deriv()
     wp = w.deriv()
     bracket = wp.deriv() * w - 1.5 * (wp * wp) \
-        + 2.0 * (w * (n1.deriv() * d1 - n1 * d1.deriv()))
+        + 2.0 * (w * _wronskian(f.num.deriv(), f.den.deriv()))
     return RationalMap(bracket, w * w)
 
 

@@ -215,6 +215,19 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
     assert code == EXIT_DEGENERATE
     assert out is None
     assert "even number" in err
+    # "inf" where a finite point is needed, and NaN or Infinity numbers
+    phi = {"num": [[1, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
+    for argv, payload in (
+        (["solve"], {"points": ["inf", [0, 0]]}),
+        (["cubic"], {"points": ["inf", [0, 0], [1, 0], [0, 1]]}),
+        (["check"], {"phi": phi, "mode": "local", "point": "inf"}),
+        (["reconstruct-local"], {"phi": phi, "point": "inf"}),
+        (["schwarzian"], {"num": [float("nan"), [1, 0]], "den": [[1, 0]]}),
+        (["schwarzian"], {"num": [[0, 0], [1, float("inf")]], "den": [[1, 0]]}),
+    ):
+        code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+        assert (code, out) == (EXIT_DEGENERATE, None), argv
+        assert err.startswith("error: ")
 
 
 def test_flag_validation(monkeypatch, capsys):

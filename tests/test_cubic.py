@@ -9,6 +9,7 @@ from schwarzian import (
     J,
     Mobius,
     Poly,
+    RationalMap,
     criticality_discriminant,
     cross_ratio,
     cubic_fiber_explicit,
@@ -24,7 +25,7 @@ from schwarzian import (
 from schwarzian.algebra import riemann_close
 from schwarzian.cubic import _induced_permutation
 
-from conftest import rand_complex, tetrahedral_images
+from conftest import rand_complex, rational_close, tetrahedral_images
 
 
 def test_cross_ratio_normalization():
@@ -57,6 +58,14 @@ def test_cross_ratio_mobius_invariance(rng):
         m = Mobius(*(rand_complex(rng) + 0.5 for _ in range(4)))
         imgs = [m(p) for p in pts]
         assert abs(cross_ratio(*imgs) - t) <= 1e-8 * (1 + abs(t))
+
+
+def test_cross_ratio_tiny_scale():
+    # the Mobius normalization must not call a tetrahedron 1e-7 wide singular
+    for s in (1e-7, 1e-9):
+        pts = [s, s * J, s * J * J, 0]
+        assert abs(cross_ratio(*pts) - cross_ratio(1, J, J * J, 0)) <= 1e-8
+        assert is_regular_tetrahedron(pts)
 
 
 def test_cross_ratio_rejects_degenerate():
@@ -161,11 +170,17 @@ def test_three_predicates_agree(rng):
             assert len(cubic_fiber_explicit(np.poly(pts)[::-1][:4])) == 1
 
 
-def test_h_alpha_structure():
+def test_h_alpha_structure(rng):
     h = h_alpha(2)
     # den is rescaled monic, num by the same factor
     assert np.allclose(h.num.coeffs, [2, 0, 1.5, 1])
     assert np.allclose(h.den.coeffs, [0.5, 3, 0, 1])
+    # num and den are coprime for a^6 != 1: reducing them changes nothing
+    for _ in range(20):
+        h = h_alpha(rand_complex(rng, 2.0))
+        reduced = RationalMap(h.num, h.den)
+        assert reduced.den.degree == 3
+        assert rational_close(reduced, h, 1e-12)
     with pytest.raises(DegenerateInput):
         h_alpha(1)
     with pytest.raises(DegenerateInput):

@@ -220,10 +220,11 @@ def test_solve_fiber_rejects_bad_targets():
 
 
 def test_coords_to_map_rejects_shared_root():
-    # p = z^3 - z, q = z^2 - 1 share the root 1
-    c = NormalizedMapCoords(2, (0, -1), (-1, 0))
-    with pytest.raises(DegenerateInput):
-        coords_to_map(c)
+    # p = z^3 - s^2 z, q = z^2 - s^2 share the root s, at every scale s
+    for s in (1e-3, 1.0, 1e3):
+        c = NormalizedMapCoords(2, (0, -s * s), (-s * s, 0))
+        with pytest.raises(DegenerateInput):
+            coords_to_map(c)
 
 
 def test_reconstruct_rational_quadratic():
@@ -235,6 +236,12 @@ def test_reconstruct_rational_quadratic():
     pts = sorted(critical_points(f), key=lambda z: z.real)
     assert abs(pts[0] - (-1.0)) <= 1e-8
     assert abs(pts[1] - (0.4 + 0.1j)) <= 1e-8
+    # far from 0: a resultant threshold in the coefficient scale rejected it
+    far = [-120.4 + 66.3j, -128.1j]
+    maps, report = reconstruct_rational(far)
+    assert len(maps) == 1
+    for p in far:
+        assert min(abs(c - p) for c in critical_points(maps[0])) <= 1e-8 * abs(p)
 
 
 def test_reconstruct_rational_prescribes_poles(rng):
@@ -251,6 +258,16 @@ def test_reconstruct_rational_prescribes_poles(rng):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert abs(complex(*a) - complex(*b)) <= 1e-6
+    # four points within 0.01 of each other: both maps of the full count
+    from schwarzian import critical_points
+
+    clustered = [-0.15 + 0.536j, -0.158 + 0.543j, -0.167 + 0.531j, -0.168 + 0.539j]
+    maps, report = reconstruct_rational(clustered)
+    assert len(maps) == 2 and report.complete
+    for f in maps:
+        crit = critical_points(f)
+        assert len(crit) == 4
+        assert all(min(abs(c - p) for c in crit) <= 1e-9 for p in clustered)
 
 
 def test_reconstruct_rational_rejects_repeats():

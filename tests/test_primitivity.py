@@ -178,6 +178,13 @@ def test_build_phi_poles_and_residues(rng):
         g = laurent_at(phi, c, 2)
         assert abs(g.leading - (-1.5)) <= 1e-8
         assert abs(g.residue_and_tail[0] - (-1.5 * a)) <= 1e-8
+    # the numerator is nonzero at every c_i: reducing num/den changes nothing
+    for k in (1, 2, 3, 4):
+        pts = tuple(rand_complex(rng, 2.0) for _ in range(k))
+        phi = build_phi(CriticalConfiguration(pts, tuple(rand_complex(rng) for _ in pts)))
+        reduced = RationalMap(phi.num, phi.den)
+        assert reduced.den.degree == 2 * k
+        assert rational_close(reduced, phi, 1e-12)
 
 
 def test_rational_criterion_f1_passes():
