@@ -403,7 +403,8 @@ class Mobius:
     def __init__(self, a, b, c, d):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
-        if abs(det) <= 1e-14 * max(abs(a), abs(b), abs(c), abs(d)) ** 2:
+        # singular when det is within the rounding of its two products
+        if abs(det) <= 1e-14 * (abs(a * d) + abs(b * c)):
             raise DegenerateInput("singular Mobius matrix")
         s = cmath.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
@@ -431,8 +432,7 @@ class Mobius:
             self.c * other.b + self.d * other.d,
         )
 
-    def __matmul__(self, other):
-        return self.compose(other)
+    __matmul__ = compose
 
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)

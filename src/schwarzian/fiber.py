@@ -196,36 +196,41 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
         attempts = 64 * catalan(mu + 1)
     if attempts < 1:
         raise DegenerateInput("attempts must be >= 1")
+    # Solve over w(rho z) / rho^(2 mu), rho = max_k (|w_k| / C(2mu, k))^(1/(2mu-k))
+    # (|r| for (z - r)^(2mu)): tolerances, residuals and the start radius are then
+    # relative to the root scale.  a_p[i], a_q[i] scale back by rho^(mu+1-i), rho^(mu-i).
+    e = np.arange(2 * mu, 0, -1)
     target_vec = np.array(target.coeffs[: 2 * mu])
+    binom = np.array([math.comb(2 * mu, j) for j in e], dtype=float)
+    rho = float(np.max((np.abs(target_vec) / binom) ** (1.0 / e))) or 1.0
+    target_vec = target_vec / rho ** e
+    unscale = rho ** np.concatenate([e[:mu] + 1 - mu, e[mu:]])
     report = FiberSolveReport(target=target, attempts=attempts, seed=seed,
                               expected_max=catalan(mu + 1))
     try:
-        report.target_outside_omega_prime = abs(poly_discriminant(target)) <= 1e-9 * (
-            1.0 + target.scale() ** (2 * mu))
+        report.target_outside_omega_prime = abs(
+            poly_discriminant(Poly(list(target_vec) + [1.0]))) <= 1e-9
     except DegenerateInput:
         report.target_outside_omega_prime = True
-    radius = 1.0 + target.scale() ** (1.0 / (2 * mu))
     for start_index in range(attempts):
         rng = np.random.default_rng([seed, start_index])
-        r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=2 * mu))
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=2 * mu))
         theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * mu)
         start = r * np.exp(1j * theta)
         got = _newton_run(mu, target_vec, start)
         if got is None:
             continue
         x, res = got
-        if any(np.max(np.abs(x - s.vector())) <= DEDUP_TOL for s in report.solutions):
+        if any(np.max(np.abs(x - s.vector() / unscale)) <= DEDUP_TOL for s in report.solutions):
             continue
-        sol = NormalizedMapCoords.from_vector(mu, x)
-        jac = wronskian_jacobian(sol)
+        jac = wronskian_jacobian(NormalizedMapCoords.from_vector(mu, x))
         svals = np.linalg.svd(jac, compute_uv=False)
         if svals[-1] > 0 and svals[0] / svals[-1] > ILL_CONDITION_CAP:
             report.ill_conditioned = True
-        report.solutions.append(sol)
+        report.solutions.append(NormalizedMapCoords.from_vector(mu, x * unscale))
         report.residuals.append(res)
     report.complete = len(report.solutions) == report.expected_max
-    if not report.solutions:
-        report.warning = True
+    report.warning = not report.solutions
     return report
 
 

@@ -112,11 +112,7 @@ def y_polynomial(d: int, x):
     if d == 1:
         return 0j
     det0 = condition_determinant(d, x + [0j])
-    slope = 1.0
-    for k in k_coefficients(d):
-        slope *= k
-    slope *= (-1.0) ** (d - 1)
-    return -det0 / slope
+    return -det0 / ((-1.0) ** (d - 1) * math.prod(k_coefficients(d)))
 
 
 def g_recursion(delta: int, a, n_terms: int):

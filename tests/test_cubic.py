@@ -30,7 +30,16 @@ from conftest import rand_complex, rational_close, tetrahedral_images
 
 def test_cross_ratio_normalization():
     # [0, 1, t, inf] = t under this convention's Mobius normalization
-    assert abs(cross_ratio(1, J, J * J, 0) - (1 + 1j * np.sqrt(3)) / 2) <= 1e-10
+    t = (1 + 1j * np.sqrt(3)) / 2
+    assert abs(cross_ratio(1, J, J * J, 0) - t) <= 1e-10
+    # scaled far down: the Mobius normalization must not be called singular
+    for s in (1e-7, 1e-9):
+        pts = [s, s * J, s * J * J, 0]
+        assert abs(cross_ratio(*pts) - t) <= 1e-8
+        assert is_regular_tetrahedron(pts)
+    # translated far out: the result keeps the rounding of the inputs
+    t = cross_ratio(0, 1, 2, 3j)
+    assert abs(cross_ratio(*(1e8 + z for z in (0, 1, 2, 3j))) - t) <= 1e-7 * abs(t)
 
 
 def test_cross_ratio_finite_formula():
@@ -58,14 +67,6 @@ def test_cross_ratio_mobius_invariance(rng):
         m = Mobius(*(rand_complex(rng) + 0.5 for _ in range(4)))
         imgs = [m(p) for p in pts]
         assert abs(cross_ratio(*imgs) - t) <= 1e-8 * (1 + abs(t))
-
-
-def test_cross_ratio_tiny_scale():
-    # the Mobius normalization must not call a tetrahedron 1e-7 wide singular
-    for s in (1e-7, 1e-9):
-        pts = [s, s * J, s * J * J, 0]
-        assert abs(cross_ratio(*pts) - cross_ratio(1, J, J * J, 0)) <= 1e-8
-        assert is_regular_tetrahedron(pts)
 
 
 def test_cross_ratio_rejects_degenerate():

@@ -270,6 +270,21 @@ def test_reconstruct_rational_prescribes_poles(rng):
         assert all(min(abs(c - p) for c in crit) <= 1e-9 for p in clustered)
 
 
+def test_reconstruct_rational_scale_free():
+    # s * {1, -1, i, -i, 2+i, -1+2i}: the full count of correct maps at every
+    # scale; an absolute residual tolerance accepted non-solutions at s = 1e-2
+    from schwarzian import critical_points
+
+    for s in (1e-5, 1e-3, 1e-2, 1.0, 10.0):
+        pts = [s * z for z in (1, -1, 1j, -1j, 2 + 1j, -1 + 2j)]
+        maps, report = reconstruct_rational(pts)
+        assert len(maps) == report.expected_max == 5 and report.complete
+        for f in maps:
+            crit = critical_points(f)
+            assert len(crit) == 6
+            assert all(min(abs(c - p) for c in crit) <= 1e-9 * s for p in pts)
+
+
 def test_reconstruct_rational_rejects_repeats():
     with pytest.raises(DegenerateInput):
         reconstruct_rational([1.0, 1.0])
