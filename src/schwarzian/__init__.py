@@ -10,7 +10,6 @@ from .algebra import (
     TruncatedSeries,
     is_inf,
     mobius_from_triples,
-    poly_discriminant,
     poly_gcd,
     poly_resultant,
     poly_roots,

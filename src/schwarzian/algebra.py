@@ -258,16 +258,6 @@ def poly_resultant(p: Poly, q: Poly):
     return complex(np.linalg.det(s))
 
 
-def poly_discriminant(p: Poly):
-    """discriminant(p) = resultant(p, p') / lead, with the (-1)^(n(n-1)/2) sign."""
-    n = p.degree
-    if n < 2:
-        raise DegenerateInput("discriminant needs degree >= 2")
-    res = poly_resultant(p, p.deriv())
-    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return sign * res / p.lead
-
-
 def poly_gcd(p: Poly, q: Poly):
     """Approximate monic GCD at the zero tolerance.
 

@@ -28,17 +28,17 @@ from .errors import (
     PoleTooHigh,
     SchwarzianError,
 )
-from .fiber import local_primitive, reconstruct_rational, solve_fiber
+from .fiber import local_primitive, reconstruct_rational
 from .jsonio import (
     decode_complex,
     decode_poly,
     decode_rational,
     encode_complex,
     encode_fiber_report,
-    encode_poly,
     encode_rational,
 )
 from .primitivity import (
+    RESIDUAL_TOL,
     CriticalConfiguration,
     HolonomyClass,
     check_polynomial_criterion,
@@ -47,7 +47,7 @@ from .primitivity import (
     condition_determinant,
     series_obstruction,
 )
-from .quaddiff import infinity_type, laurent_at, pole_report, schwarzian
+from .quaddiff import _expand, laurent_at, pole_report, schwarzian
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -122,22 +122,15 @@ def cmd_check(payload, args):
             }
         )
         return out
-    if mode == "rational":
-        variant = payload.get("variant", "AllL_E123")
-        config = CriticalConfiguration.from_phi(phi)
-        rec = check_rational_criterion(config, variant)
-        return rec.to_json()
-    if mode == "polynomial":
-        config = CriticalConfiguration.from_phi(phi)
-        _, rec = check_polynomial_criterion(config.points)
-        return rec.to_json()
+    if mode in ("rational", "polynomial"):
+        return _check_residue_system(phi, mode, payload.get("variant", "AllL_E123"))
     if mode == "merom":
         # A meromorphic primitive may have an essential singularity at
         # infinity, so only the finite poles are tested.
         order = max(args.order, 3)
         equations = []
-        for center, _ in algebra.root_clusters(phi.den):
-            g = laurent_at(phi, center, order)
+        for center, m in algebra.root_clusters(phi.den):
+            g = _expand(phi, center, m, order)
             q = algebra.TruncatedSeries(base=g.pole, coeffs=g.residue_and_tail)
             ok = (g.local_degree_hint == 2
                   and classify_holonomy(g, q).kind == HolonomyClass.IDENTITY)
@@ -151,6 +144,23 @@ def cmd_check(payload, args):
         return {"variant": "merom", "equations": equations,
                 "overall": all(e["pass"] for e in equations)}
     raise _PayloadError(f"unknown mode {mode!r}")
+
+
+def _check_residue_system(phi, mode, variant):
+    # The systems read only the poles of phi and a_1 there.  "poles" gates local
+    # degree 2 and, for polynomial, phi's A_i against the constructed A_i.
+    poles, _ = pole_report(phi, order=1)
+    config = CriticalConfiguration.from_poles(poles)
+    if mode == "rational":
+        built, rec = config, check_rational_criterion(config, variant)
+    else:
+        built, rec = check_polynomial_criterion(config.points)
+    tol = RESIDUAL_TOL * (1.0 + max(abs(c) for c in config.points)) ** 2  # as for L_i
+    gate = [{"point": encode_complex(g.pole), "local_degree": g.local_degree_hint,
+             "param_residual": abs(a - w),
+             "pass": g.local_degree_hint == 2 and abs(a - w) <= tol}
+            for g, a, w in zip(poles, config.params, built.params)]
+    return dict(rec.to_json(), overall=rec.overall and all(p["pass"] for p in gate), poles=gate)
 
 
 def cmd_solve(payload, args):

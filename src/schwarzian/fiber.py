@@ -13,7 +13,6 @@ from .algebra import (
     RationalMap,
     TruncatedSeries,
     _w,
-    poly_discriminant,
     poly_roots,
     require_distinct,
     series_inv,
@@ -25,7 +24,6 @@ from .quaddiff import laurent_at
 
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-6
-ILL_CONDITION_CAP = 1e10
 
 
 def catalan(d: int) -> int:
@@ -77,8 +75,11 @@ class NormalizedMapCoords:
 class FiberSolveReport:
     """Outcome of Newton restarts on the Wronskian fiber over a monic target.
 
-    complete is True when the restarts found expected_max = catalan(mu+1)
-    distinct solutions, the full count over a target with distinct roots.
+    rconds[k] is s_min/s_max of wronskian_jacobian at solutions[k] over the
+    dilated target; it tends to 0 where the fiber is singular.  complete is
+    True when the restarts found expected_max = catalan(mu+1) distinct
+    solutions, the full count over a target with distinct roots; warning is
+    True when none converged.
     """
 
     target: Poly
@@ -86,11 +87,16 @@ class FiberSolveReport:
     attempts: int = 0
     seed: int = 0
     residuals: list = field(default_factory=list)
+    rconds: list = field(default_factory=list)
     expected_max: int = 0
-    warning: bool = False
-    complete: bool = False
-    target_outside_omega_prime: bool = False
-    ill_conditioned: bool = False
+
+    @property
+    def complete(self) -> bool:
+        return len(self.solutions) == self.expected_max
+
+    @property
+    def warning(self) -> bool:
+        return not self.solutions
 
 
 def local_g(d: int, q: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -207,11 +213,6 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
     unscale = rho ** np.concatenate([e[:mu] + 1 - mu, e[mu:]])
     report = FiberSolveReport(target=target, attempts=attempts, seed=seed,
                               expected_max=catalan(mu + 1))
-    try:
-        report.target_outside_omega_prime = abs(
-            poly_discriminant(Poly(list(target_vec) + [1.0]))) <= 1e-9
-    except DegenerateInput:
-        report.target_outside_omega_prime = True
     for start_index in range(attempts):
         rng = np.random.default_rng([seed, start_index])
         r = np.sqrt(rng.uniform(0.0, 1.0, size=2 * mu))
@@ -225,12 +226,9 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
             continue
         jac = wronskian_jacobian(NormalizedMapCoords.from_vector(mu, x))
         svals = np.linalg.svd(jac, compute_uv=False)
-        if svals[-1] > 0 and svals[0] / svals[-1] > ILL_CONDITION_CAP:
-            report.ill_conditioned = True
         report.solutions.append(NormalizedMapCoords.from_vector(mu, x * unscale))
         report.residuals.append(res)
-    report.complete = len(report.solutions) == report.expected_max
-    report.warning = not report.solutions
+        report.rconds.append(float(svals[-1] / svals[0]))
     return report
 
 

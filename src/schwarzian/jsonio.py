@@ -29,7 +29,10 @@ def decode_complex(obj):
         and len(obj) == 2
         and all(isinstance(v, (int, float)) for v in obj)
     ):
-        z = complex(obj[0], obj[1])
+        try:
+            z = complex(obj[0], obj[1])
+        except OverflowError:  # an integer beyond double range
+            z = cmath.inf
         if cmath.isfinite(z):
             return z
     raise DegenerateInput(f"not a finite complex scalar: {obj!r}")
@@ -73,9 +76,8 @@ def encode_fiber_report(report):
         "attempts": report.attempts,
         "seed": report.seed,
         "residuals": list(report.residuals),
+        "rconds": list(report.rconds),
         "expected_max": report.expected_max,
         "warning": report.warning,
         "complete": report.complete,
-        "target_outside_omega_prime": report.target_outside_omega_prime,
-        "ill_conditioned": report.ill_conditioned,
     }

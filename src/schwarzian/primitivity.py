@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Poly, RationalMap, TruncatedSeries, require_distinct, series_inv, series_mul
 from .errors import DegenerateInput, ObstructionNonzero
-from .quaddiff import LaurentData, e_sums, pole_report
+from .quaddiff import LaurentData, e_sums
 
 RESIDUAL_TOL = 1e-8
 OBSTRUCTION_TOL = 1e-8
@@ -40,11 +40,11 @@ class CriticalConfiguration:
         require_distinct(pts, "critical points")
 
     @classmethod
-    def from_phi(cls, phi: RationalMap) -> CriticalConfiguration:
-        """The poles of phi with A = -(2/3) a_1, since a_1 = -(3/2) A at a
-        simple critical point.  Series division produces a_1 before any later
-        term, so a_1 is the same at every expansion order and order 1 suffices."""
-        poles, _ = pole_report(phi, order=1)
+    def from_poles(cls, poles) -> CriticalConfiguration:
+        """The poles of phi (pole_report's LaurentData) with A = -(2/3) a_1,
+        since a_1 = -(3/2) A at a simple critical point; the local degrees are
+        not read.  Series division produces a_1 before any later term, so a_1
+        is the same at every expansion order and order 1 suffices."""
         return cls(tuple(g.pole for g in poles),
                    tuple(-2.0 / 3.0 * g.residue_and_tail[0] for g in poles))
 

@@ -33,6 +33,7 @@ from schwarzian import (
     local_g,
     local_primitive,
     merom_generator,
+    pole_report,
     reconstruct_rational,
     schwarzian,
     series_obstruction,
@@ -154,7 +155,7 @@ def _solver_configs(rng, want):
             continue
         maps, _ = reconstruct_rational(pts, attempts=48, seed=len(configs) + 5)
         for f in maps:
-            config = CriticalConfiguration.from_phi(schwarzian(f))
+            config = CriticalConfiguration.from_poles(pole_report(schwarzian(f), order=1)[0])
             if len(config.points) != 4:
                 continue
             configs.append(config)

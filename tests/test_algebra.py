@@ -8,7 +8,6 @@ from schwarzian import (
     Poly,
     RationalMap,
     mobius_from_triples,
-    poly_discriminant,
     poly_gcd,
     poly_resultant,
     poly_roots,
@@ -110,12 +109,6 @@ def test_resultant_zero_iff_shared_root(rng):
             assert abs(res) <= 1e-8
         elif mind > 1e-3:
             assert abs(res) > 1e-9
-
-
-def test_discriminant_examples():
-    assert abs(poly_discriminant(Poly([-1, 0, 1])) - 4) <= 1e-12
-    assert abs(poly_discriminant(Poly([1, -2, 1]))) <= 1e-12
-    assert abs(poly_discriminant(Poly([0, -2, 0, 0, 1]))) > 1e-6
 
 
 def test_rational_normalize_common_factor():

@@ -90,26 +90,33 @@ def test_check_merom_pass_and_one_shifted_pole(monkeypatch, capsys):
 
 
 def test_check_rational_pass_and_fail(monkeypatch, capsys):
-    phi1 = {"num": [[-1.5, 0]], "den": [[0, 0], [0, 0], [1, 0], [-2, 0], [1, 0]]}
-    code, out, _ = run_cli(
-        monkeypatch, capsys, ["check"], {"phi": phi1, "mode": "rational"}
-    )
-    assert code == EXIT_OK
-    assert out["overall"] is True
-    phi2 = {
-        "num": [[-1.5, 0], [4, 0], [-4, 0]],
-        "den": [[0, 0], [0, 0], [1, 0], [-2, 0], [1, 0]],
-    }
-    code, out, _ = run_cli(
-        monkeypatch, capsys, ["check"], {"phi": phi2, "mode": "rational"}
-    )
-    assert code == EXIT_OK
-    assert out["overall"] is False
-    code, out, _ = run_cli(
-        monkeypatch, capsys, ["check"], {"phi": phi2, "mode": "polynomial"}
-    )
-    assert code == EXIT_OK
-    assert out["overall"] is True
+    # The residue systems read only the poles and a_1; "poles" also gates
+    # local degree 2 and, for polynomial, phi's own A_i.  Over the double
+    # poles 0 and 1: S of z^2/(z-1)^2 (phi1), S of the cubic with critical
+    # points 0 and 1 (phi2), leading +1 at both poles, and leading -1 at 0.
+    den = [[0, 0], [0, 0], [1, 0], [-2, 0], [1, 0]]
+    phi1 = {"num": [[-1.5, 0]], "den": den}
+    phi2 = {"num": [[-1.5, 0], [4, 0], [-4, 0]], "den": den}
+    plus_one = {"num": [[1, 0]], "den": den}
+    minus_one_at_0 = {"num": [[-1, 0], [-1, 0], [0.5, 0]], "den": den}
+    for phi, mode, want in ((phi1, "rational", True), (phi1, "polynomial", False),
+                            (phi2, "rational", False), (phi2, "polynomial", True),
+                            (plus_one, "polynomial", False),
+                            (minus_one_at_0, "rational", False)):
+        code, out, _ = run_cli(monkeypatch, capsys, ["check"], {"phi": phi, "mode": mode})
+        assert code == EXIT_OK
+        assert out["overall"] is want, (phi, mode)
+        assert len(out["poles"]) == 2
+    # random numerators over three random double poles
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        pts = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        num = Poly(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        phi = RationalMap(num, Poly.from_roots(list(pts) * 2), reduce=False)
+        code, out, _ = run_cli(monkeypatch, capsys, ["check"],
+                               {"phi": encode_rational(phi), "mode": "polynomial"})
+        assert code == EXIT_OK
+        assert out["overall"] is False
 
 
 def test_solve_subcommand(monkeypatch, capsys):
@@ -128,7 +135,7 @@ def test_solve_subcommand(monkeypatch, capsys):
 
 def test_solve_without_solutions_exits_4(monkeypatch, capsys):
     def no_solutions(points, attempts=None, seed=42):
-        return [], FiberSolveReport(target=Poly.from_roots(points), warning=True)
+        return [], FiberSolveReport(target=Poly.from_roots(points))
 
     monkeypatch.setattr("schwarzian.cli.reconstruct_rational", no_solutions)
     pts = [[1, 0], [-0.5, 0.5], [0.3, -1.0], [-1.1, -0.2]]
@@ -215,7 +222,8 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
     assert code == EXIT_DEGENERATE
     assert out is None
     assert "even number" in err
-    # "inf" where a finite point is needed, and NaN or Infinity numbers
+    # "inf" where a finite point is needed, NaN or Infinity numbers, and an
+    # integer beyond double range
     phi = {"num": [[1, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
     for argv, payload in (
         (["solve"], {"points": ["inf", [0, 0]]}),
@@ -224,6 +232,7 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
         (["reconstruct-local"], {"phi": phi, "point": "inf"}),
         (["schwarzian"], {"num": [float("nan"), [1, 0]], "den": [[1, 0]]}),
         (["schwarzian"], {"num": [[0, 0], [1, float("inf")]], "den": [[1, 0]]}),
+        (["schwarzian"], {"num": [[0, 0], [10**400, 0]], "den": [[1, 0]]}),
     ):
         code, out, err = run_cli(monkeypatch, capsys, argv, payload)
         assert (code, out) == (EXIT_DEGENERATE, None), argv

@@ -19,7 +19,12 @@ from schwarzian import (
     wronskian_jacobian,
 )
 
-from conftest import normalized_wronskian, rand_complex, series_schwarzian_laurent
+from conftest import (
+    normalized_wronskian,
+    rand_complex,
+    series_schwarzian_laurent,
+    tetrahedral_images,
+)
 
 
 def test_catalan_values():
@@ -203,6 +208,24 @@ def test_solve_fiber_count_bound(rng):
             for sol in report.solutions:
                 got = normalized_wronskian(sol.vector())[: 2 * mu]
                 assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_rconds_vanish_over_the_tetrahedron_only():
+    # At mu = 2 the fiber is singular over Mobius images of the regular
+    # tetrahedron (the paper's pole-dependence result); over real critical
+    # points it is transversal (Mukhin, Tarasov and Varchenko, J. Amer. Math.
+    # Soc. 22, 2009), so s_min/s_max stays away from 0 there.
+    for pts in tetrahedral_images(np.random.default_rng(5), 4):
+        _, report = reconstruct_rational(pts, attempts=16)
+        assert len(report.rconds) == len(report.solutions) == 1
+        assert report.rconds[0] < 1e-6
+    rng = np.random.default_rng(1)
+    for mu, n_sets in ((1, 3), (2, 3), (3, 1)):
+        for _ in range(n_sets):
+            pts = rng.uniform(-1.0, 1.0, 2 * mu)
+            _, report = reconstruct_rational(list(pts - pts.mean()))
+            assert report.complete and len(report.rconds) == report.expected_max
+            assert min(report.rconds) > 1e-6
 
 
 def test_solve_fiber_one_attempt_is_incomplete():
