@@ -18,8 +18,27 @@ import numpy as np
 
 from .errors import DegenerateInput, NonConvergence
 
-# Relative coefficient zero-tolerance, configurable at module level.
-ZERO_TOL = 1e-12
+# Every tolerance of the package, with the scale it multiplies (x).  The paper's
+# conditions are exact, so each decision made in floats reads one of these.
+ZERO_TOL = 1e-12  # a Poly coefficient is 0: x (1 + max |coeff|)
+ROUNDING_TOL = 1e-12  # a sum is 0 to the rounding of its terms: x sum of their |.|
+DISTINCT_TOL = 1e-12  # points p, q coincide: x (1 + |p|); a cross ratio vs 0 and 1: x 1
+SINGULAR_TOL = 1e-14  # a Mobius matrix is singular: x (|ad| + |bc|), the rounding of det
+ROOT_ORDER_GRID = 1e-9  # spacing of the grid ordering roots: absolute, in units of z
+CLUSTER_RADIUS = 1e-4  # a root is in a cluster: x (1 + |its first root or the point asked|)
+GCD_TOL = 1e-8  # a monic Euclid remainder is 0: x 1; g divides p: x (1 + max |p_k|)
+# The paper's conditions: leading = (1 - d^2)/2, x (1 + |leading|); the resonant
+# equation, x (1 + max |a_1..a_d|); L_i = E_m = 0, x (1 + max |c_i|, |A_i|)^2.
+CRITERION_TOL = 1e-8
+UNIT_TOL = 1e-9  # a dimensionless value is 1 (monic lead, |multiplier|, alpha^6): x 1
+BRANCH_TOL = 1e-14  # Re sqrt(1 - 2 leading) is 0, choosing the branch: absolute
+NEWTON_TOL = 1e-9  # Newton accepts: max |residual| over the target dilated to root scale 1
+DEDUP_TOL = 1e-6  # two fiber points are one: max-norm distance, dilated coordinates
+TETRAHEDRON_TOL = 1e-8  # quartic invariant I is 0: x |J|^(2/3), unchanged by Mobius maps
+CRITICAL_VALUE_TOL = 1e-8  # a cubic's critical values are apart: x (1 + |value|)
+CHORDAL_TOL = 1e-9  # chordal distance, which has no scale: riemann_close's default
+FOUR_GROUP_TOL = 1e-8  # chordal: a four-group involution's image of the fourth point
+LIFT_TOL = 1e-7  # chordal: f o M = N o f for a lift of a cubic
 
 # Primitive cube root of unity, j = exp(2*pi*i/3).
 J = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -203,7 +222,8 @@ def poly_roots(p: Poly):
     """All roots with multiplicity, deterministically ordered.
 
     Companion-matrix eigenvalues; order is lexicographic by (re, im) after
-    rounding at 1e-9.  Raises NonConvergence if the eigenvalue iteration fails.
+    rounding to ROOT_ORDER_GRID.  Raises NonConvergence if the eigenvalue
+    iteration fails.
     """
     if p.is_zero or p.degree < 1:
         raise DegenerateInput("root finding needs degree >= 1")
@@ -212,7 +232,8 @@ def poly_roots(p: Poly):
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NonConvergence(str(exc))
     rts = [complex(r) for r in rts]
-    rts.sort(key=lambda z: (round(z.real / 1e-9), round(z.imag / 1e-9), z.real, z.imag))
+    grid = ROOT_ORDER_GRID
+    rts.sort(key=lambda z: (round(z.real / grid), round(z.imag / grid), z.real, z.imag))
     return rts
 
 
@@ -220,8 +241,9 @@ def root_clusters(p: Poly):
     """Distinct roots of p as (center, multiplicity) pairs, in poly_roots order.
 
     A root joins the first cluster whose first root lies within relative
-    distance 1e-4, and the center is the cluster mean: a numerically split
-    multiple root recovers its center to near machine precision.  The radius
+    distance CLUSTER_RADIUS, and the center is the cluster mean: a
+    numerically split multiple root recovers its center to near machine
+    precision.  The radius
     must absorb the splitting of a numerical double root, which can reach
     ~1e-5 for badly scaled octics.
     """
@@ -230,7 +252,7 @@ def root_clusters(p: Poly):
     clusters = []
     for r in poly_roots(p):
         for cl in clusters:
-            if abs(r - cl[0]) <= 1e-4 * (1.0 + abs(cl[0])):
+            if abs(r - cl[0]) <= CLUSTER_RADIUS * (1.0 + abs(cl[0])):
                 cl.append(r)
                 break
         else:
@@ -259,35 +281,34 @@ def poly_resultant(p: Poly, q: Poly):
 
 
 def poly_gcd(p: Poly, q: Poly):
-    """Approximate monic GCD at the zero tolerance.
+    """Approximate monic GCD.
 
     Euclid with monic normalization at every step; a remainder is declared
-    zero when its scale drops below tol relative to the running scale.  The
-    candidate is verified by division; when that fails, p and q have roots
-    too close to tell shared from distinct, and DegenerateInput is raised.
+    zero when its scale drops below GCD_TOL.  The candidate is verified by
+    division; when that fails, p and q have roots too close to tell shared
+    from distinct, and DegenerateInput is raised.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else Poly.zero()
     if q.is_zero:
         return p.monic()
-    tol = 1e-8
     a, b = p.monic(), q.monic()
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
         _, r = a.divmod(b)
-        if r.is_zero or r.scale() <= tol:
+        if r.is_zero or r.scale() <= GCD_TOL:
             g = b.monic()
-            if _divides(p, g, tol) and _divides(q, g, tol):
+            if _divides(p, g) and _divides(q, g):
                 return g
             raise DegenerateInput("polynomials nearly share a root")
         a, b = b, r.monic()
     return a.monic()
 
 
-def _divides(p: Poly, g: Poly, tol: float) -> bool:
+def _divides(p: Poly, g: Poly) -> bool:
     _, r = p.divmod(g)
-    return r.is_zero or r.scale() <= tol * (1.0 + p.scale())
+    return r.is_zero or r.scale() <= GCD_TOL * (1.0 + p.scale())
 
 
 class RationalMap:
@@ -393,15 +414,10 @@ class Mobius:
     def __init__(self, a, b, c, d):
         a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         det = a * d - b * c
-        # singular when det is within the rounding of its two products
-        if abs(det) <= 1e-14 * (abs(a * d) + abs(b * c)):
+        if abs(det) <= SINGULAR_TOL * (abs(a * d) + abs(b * c)):
             raise DegenerateInput("singular Mobius matrix")
         s = cmath.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
-
-    @staticmethod
-    def identity():
-        return Mobius(1, 0, 0, 1)
 
     def __call__(self, z):
         if is_inf(z):
@@ -427,11 +443,6 @@ class Mobius:
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def is_identity(self):
-        """+-I to 1e-9 in every entry."""
-        return abs(self.b) <= 1e-9 and abs(self.c) <= 1e-9 and any(
-            abs(self.a - s) <= 1e-9 and abs(self.d - s) <= 1e-9 for s in (1.0, -1.0))
-
     def __repr__(self):
         return f"Mobius({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
@@ -447,7 +458,7 @@ def _to_zero_one_inf(z1, z2, z3):
     return Mobius(z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
 
-def require_distinct(points, what, tol=1e-12):
+def require_distinct(points, what, tol=DISTINCT_TOL):
     """Raise DegenerateInput unless the Riemann-sphere points are pairwise
     distinct: no two INF, and finite p, q with |p - q| > tol * (1 + |p|)."""
     for i, p in enumerate(points):
@@ -482,6 +493,6 @@ def _chordal(p, q):
     return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
 
 
-def riemann_close(p, q, tol=1e-9):
+def riemann_close(p, q, tol=CHORDAL_TOL):
     """Chordal-metric comparison of two Riemann-sphere points."""
     return _chordal(p, q) <= tol

@@ -1,9 +1,9 @@
 """JSON command-line front end.
 
-Grammar: schwarzian schwarzian|check|reconstruct-local [--order N] [--in FILE|-],
+Grammar: schwarzian check|reconstruct-local [--order N] [--in FILE|-],
 schwarzian solve [--seed N] [--attempts N] [--in FILE|-],
-schwarzian cubic [--in FILE|-].  Input JSON on stdin or file; output JSON on
-stdout, diagnostics on stderr.  Exit codes: 0 ok, 2 parse error,
+schwarzian schwarzian|cubic [--in FILE|-].  Input JSON on stdin or file;
+output JSON on stdout, diagnostics on stderr.  Exit codes: 0 ok, 2 parse error,
 3 degenerate input, 4 solver failure.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import algebra
@@ -38,13 +39,13 @@ from .jsonio import (
     encode_rational,
 )
 from .primitivity import (
-    RESIDUAL_TOL,
     CriticalConfiguration,
     HolonomyClass,
     check_polynomial_criterion,
     check_rational_criterion,
     classify_holonomy,
     condition_determinant,
+    residual_tol,
     series_obstruction,
 )
 from .quaddiff import _expand, laurent_at, pole_report, schwarzian
@@ -75,7 +76,8 @@ def cmd_schwarzian(payload, args):
     _reject_unknown(payload, {"num", "den"})
     f = decode_rational({"num": _require(payload, "num"), "den": _require(payload, "den")})
     s = schwarzian(f)
-    poles, at_inf = pole_report(s, order=args.order)
+    # The leading term, all that is printed, is the same at every order.
+    poles, at_inf = pole_report(s, order=1)
     return {
         "schwarzian": encode_rational(s),
         "poles": [
@@ -155,7 +157,7 @@ def _check_residue_system(phi, mode, variant):
         built, rec = config, check_rational_criterion(config, variant)
     else:
         built, rec = check_polynomial_criterion(config.points)
-    tol = RESIDUAL_TOL * (1.0 + max(abs(c) for c in config.points)) ** 2  # as for L_i
+    tol = residual_tol(config.points)
     gate = [{"point": encode_complex(g.pole), "local_degree": g.local_degree_hint,
              "param_residual": abs(a - w),
              "pass": g.local_degree_hint == 2 and abs(a - w) <= tol}
@@ -178,34 +180,45 @@ def cmd_solve(payload, args):
 
 def cmd_cubic(payload, args):
     _reject_unknown(payload, {"points", "quartic"})
+    # The fiber is solved over the quartic w with the roots moved by z -> (z - s)/lam.
+    # Points go to mean 0 and spread about 1, which keeps their accuracy however far
+    # from 0 they sit; lam is a power of 2, so the scaling is exact.
     if "points" in payload:
         points = [decode_complex(p) for p in payload["points"]]
         if len(points) != 4:
             raise DegenerateInput("need exactly four points")
-        target = algebra.Poly.from_roots(points)
+        t = cross_ratio(*points)  # rejects repeated points
+        s = sum(complex(p) for p in points) / 4
+        lam = 2.0 ** round(math.log2(max(abs(complex(p) - s) for p in points)))
+        w = list(algebra.Poly.from_roots([(complex(p) - s) / lam for p in points]).coeffs[:4])
     else:
         target = decode_poly(_require(payload, "quartic"))
         if target.degree != 4:
             raise DegenerateInput("quartic must have degree 4")
         target = target.monic()
         points = algebra.poly_roots(target)
-    w = list(target.coeffs[:4])
-    t = cross_ratio(*points)
-    branches = cubic_fiber_explicit(w)
+        t = cross_ratio(*points)
+        s, lam = -target.coeffs[3] / 4, 1.0
+        w = target.shift(s)[:4]
     return {
         "points": [encode_complex(p) for p in points],
         "cross_ratio": encode_complex(t),
         "orbit": [encode_complex(v) for v in ratio_orbit(t)],
         "tetrahedron": is_regular_tetrahedron(points),
-        "criticality_discriminant": encode_complex(criticality_discriminant(w)),
-        "fiber_branches": [
-            {
-                "a_p": [encode_complex(c) for c in b.a_p],
-                "a_q": [encode_complex(c) for c in b.a_q],
-            }
-            for b in branches
-        ],
+        "criticality_discriminant": encode_complex(criticality_discriminant(w) * lam**4),
+        "fiber_branches": [_moved_back(b, s, lam) for b in cubic_fiber_explicit(w)],
     }
+
+
+def _moved_back(branch, s, lam):
+    # The branch (p, q) over w as one over the points, in normal form P + 3s Q and Q,
+    # with P(z) = lam^3 p((z - s)/lam) and Q(z) = lam^2 q((z - s)/lam).  On the plain
+    # lists of Poly.shift, since Poly's trim would drop top coefficients far from 0.
+    p = algebra.Poly((*branch.a_p, 0, 1)).shift(-s / lam)
+    q = algebra.Poly((*branch.a_q, 1)).shift(-s / lam)
+    big_q = [q[k] * lam ** (2 - k) for k in (0, 1)]
+    return {"a_p": [encode_complex(p[k] * lam ** (3 - k) + 3 * s * big_q[k]) for k in (0, 1)],
+            "a_q": [encode_complex(c) for c in big_q]}
 
 
 def cmd_reconstruct_local(payload, args):
@@ -240,7 +253,7 @@ def build_parser():
         if name == "solve":
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--attempts", type=int, default=None)
-        if name in ("schwarzian", "check", "reconstruct-local"):
+        if name in ("check", "reconstruct-local"):
             p.add_argument("--order", type=int, default=32)
         p.add_argument("--in", dest="infile", default="-")
     return parser

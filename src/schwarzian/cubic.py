@@ -5,16 +5,9 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import (
-    Mobius,
-    Poly,
-    RationalMap,
-    _chordal,
-    _to_zero_one_inf,
-    mobius_from_triples,
-    require_distinct,
-    riemann_close,
-)
+from .algebra import (CRITICAL_VALUE_TOL, DISTINCT_TOL, FOUR_GROUP_TOL, LIFT_TOL, ROUNDING_TOL,
+                      TETRAHEDRON_TOL, UNIT_TOL, Poly, RationalMap, _to_zero_one_inf,
+                      mobius_from_triples, require_distinct, riemann_close)
 from .errors import DegenerateInput
 from .fiber import NormalizedMapCoords
 from .quaddiff import critical_points
@@ -38,7 +31,7 @@ def cross_ratio(a, b, c, d):
 def ratio_orbit(t):
     """The six anharmonic values {t, 1/t, 1-t, 1/(1-t), t/(t-1), (t-1)/t}."""
     t = complex(t)
-    if abs(t) <= 1e-12 or abs(t - 1.0) <= 1e-12:
+    if abs(t) <= DISTINCT_TOL or abs(t - 1.0) <= DISTINCT_TOL:
         raise DegenerateInput("cross ratio must avoid 0 and 1")
     return (t, 1.0 / t, 1.0 - t, 1.0 / (1.0 - t), t / (t - 1.0), (t - 1.0) / t)
 
@@ -50,7 +43,7 @@ def _equianharmonic(e, d, c, b, a):
     With distinct roots I = 0 iff the roots are a Mobius image of
     {1, j, j^2, 0}, iff the cubic fiber over the quartic has one branch.
     I counts as zero when
-        |I| <= 1e-8 |J|^(2/3) + 1e-12 (12|ae| + 3|bd| + |c|^2),
+        |I| <= TETRAHEDRON_TOL |J|^(2/3) + ROUNDING_TOL (12|ae| + 3|bd| + |c|^2),
     J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3.  I^3 / J^2 depends only on the
     cross ratio t of the roots, so the first term is unchanged by Mobius maps;
     near the tetrahedron it reads |t - exp(+-i pi/3)| <= 1.7e-8.  The second
@@ -63,7 +56,7 @@ def _equianharmonic(e, d, c, b, a):
     inv_j = (72.0 * a * c * e + 9.0 * b * c * d
              - 27.0 * (a * d * d + e * b * b) - 2.0 * c**3)
     rounding = 12.0 * abs(a * e) + 3.0 * abs(b * d) + abs(c) ** 2
-    return abs(inv_i) <= 1e-8 * abs(inv_j) ** (2.0 / 3.0) + 1e-12 * rounding
+    return abs(inv_i) <= TETRAHEDRON_TOL * abs(inv_j) ** (2.0 / 3.0) + ROUNDING_TOL * rounding
 
 
 def is_regular_tetrahedron(points) -> bool:
@@ -117,7 +110,7 @@ def h_alpha(alpha) -> RationalMap:
     den coprime: their resultant is -54(a+1)^2(a^2-a+1)^2.
     """
     a = complex(alpha)
-    if abs(a**6 - 1.0) <= 1e-9:
+    if abs(a**6 - 1.0) <= UNIT_TOL:
         raise DegenerateInput("alpha^6 = 1 degenerates the family")
     num = Poly((2.0 * a, 0.0, 3.0, a))
     den = Poly((1.0, 3.0 * a, 0.0, 2.0))
@@ -139,44 +132,28 @@ def four_group(points):
     out = []
     for src, dst, fourth_src, fourth_dst in pairings:
         m = mobius_from_triples(src, dst)
-        if not riemann_close(m(fourth_src), fourth_dst, tol=1e-8):
+        if not riemann_close(m(fourth_src), fourth_dst, tol=FOUR_GROUP_TOL):
             raise DegenerateInput("four-group construction failed validation")
         out.append(m)
     return out
-
-
-def _induced_permutation(m: Mobius, points, tol=1e-6):
-    """Index of the point nearest each image, in the chordal metric."""
-    perm = []
-    for p in points:
-        image = m(p)
-        dist = [_chordal(image, q) for q in points]
-        match = dist.index(min(dist))
-        if dist[match] > tol:
-            raise DegenerateInput("map does not permute the point set")
-        perm.append(match)
-    return tuple(perm)
 
 
 def lift_correspondence(f: RationalMap):
     """The bijection M <-> N between the four-groups of critical points and
     critical values of a cubic f, with f o M = N o f.
 
-    Returns three (M, N) pairs, each verified at 20 sample points in the
-    chordal metric (sup residual <= 1e-7)."""
+    four_group pairs the positions of any four points alike and f sends
+    crit[i] to values[i], so the k-th involutions of crit and of values
+    correspond.  Each of the three (M, N) pairs is verified at 20 sample
+    points in the chordal metric (sup residual <= LIFT_TOL)."""
     crit = critical_points(f)
     if len(crit) != 4:
         raise DegenerateInput("need four distinct finite critical points")
     values = [f(c) for c in crit]
-    require_distinct(values, "critical values", tol=1e-8)
-    ms = four_group(crit)
-    n_by_perm = {_induced_permutation(n, values): n for n in four_group(values)}
-    pairs = []
-    for m in ms:
-        n = n_by_perm.get(_induced_permutation(m, crit))
-        if n is None or not _verify_lift(f, m, n):
-            raise DegenerateInput("lift verification failed")
-        pairs.append((m, n))
+    require_distinct(values, "critical values", tol=CRITICAL_VALUE_TOL)
+    pairs = list(zip(four_group(crit), four_group(values)))
+    if not all(_verify_lift(f, m, n) for m, n in pairs):
+        raise DegenerateInput("lift verification failed")
     return pairs
 
 
@@ -185,6 +162,6 @@ def _verify_lift(f, m, n):
         z = 1.7 * cmath.exp(2j * cmath.pi * (k + 0.37) / 20)
         lhs = f(m(z))
         rhs = n(f(z))
-        if not riemann_close(lhs, rhs, tol=1e-7):
+        if not riemann_close(lhs, rhs, tol=LIFT_TOL):
             return False
     return True

@@ -8,22 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    Poly,
-    RationalMap,
-    TruncatedSeries,
-    _w,
-    poly_roots,
-    require_distinct,
-    series_inv,
-    series_mul,
-)
+from .algebra import (DEDUP_TOL, NEWTON_TOL, ROUNDING_TOL, UNIT_TOL, Poly, RationalMap,
+                      TruncatedSeries, _w, poly_roots, require_distinct, series_inv, series_mul)
 from .errors import DegenerateInput
 from .primitivity import g_recursion
 from .quaddiff import laurent_at
-
-RESIDUAL_TOL = 1e-9
-DEDUP_TOL = 1e-6
 
 
 def catalan(d: int) -> int:
@@ -55,12 +44,6 @@ class NormalizedMapCoords:
         object.__setattr__(self, "a_q", tuple(complex(c) for c in self.a_q))
         if self.mu < 1 or len(self.a_p) != self.mu or len(self.a_q) != self.mu:
             raise DegenerateInput("need mu >= 1 and mu coefficients on each side")
-
-    def p_poly(self) -> Poly:
-        return Poly(_pq(self.mu, self.vector())[0])
-
-    def q_poly(self) -> Poly:
-        return Poly(_pq(self.mu, self.vector())[1])
 
     def vector(self):
         return np.array(list(self.a_p) + list(self.a_q), dtype=complex)
@@ -181,7 +164,7 @@ def _newton_run(mu, target_vec, start, max_iter=100):
         else:
             break
         x, fx, res = x_new, f_new, res_new
-    if res <= RESIDUAL_TOL:
+    if res <= NEWTON_TOL:
         return x, res
     return None
 
@@ -191,11 +174,11 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
 
     Deterministic for fixed (target, attempts, seed): per-start RNG streams
     are derived from (seed, start index) and converged points are merged in
-    start-index order, deduplicated at max-norm distance 1e-6.
+    start-index order, deduplicated at max-norm distance DEDUP_TOL.
     """
     if target.degree < 2 or target.degree % 2 != 0:
         raise DegenerateInput("target must be monic of even degree 2*mu >= 2")
-    if abs(target.lead - 1.0) > 1e-9:
+    if abs(target.lead - 1.0) > UNIT_TOL:
         raise DegenerateInput("target must be monic")
     mu = target.degree // 2
     if attempts is None:
@@ -236,10 +219,10 @@ def coords_to_map(coords: NormalizedMapCoords) -> RationalMap:
     """f_a = p_a / q_a, the degree-(mu+1) rational map of the coordinates.
 
     Raises when p vanishes at a root r of q to within the rounding of its
-    terms, |p(r)| <= 1e-12 sum_k |p_k| |r|^k, a test free of the scale of z."""
-    p, q = coords.p_poly(), coords.q_poly()
+    terms, |p(r)| <= ROUNDING_TOL sum_k |p_k| |r|^k, free of the scale of z."""
+    p, q = (Poly(c) for c in _pq(coords.mu, coords.vector()))
     for r in poly_roots(q):
-        if abs(p(r)) <= 1e-12 * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs)):
+        if abs(p(r)) <= ROUNDING_TOL * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs)):
             raise DegenerateInput("p and q share a root; coordinates outside Omega")
     return RationalMap(p, q, reduce=False)
 

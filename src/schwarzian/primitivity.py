@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, RationalMap, TruncatedSeries, require_distinct, series_inv, series_mul
+from .algebra import (BRANCH_TOL, CRITERION_TOL, UNIT_TOL, Poly, RationalMap, TruncatedSeries,
+                      require_distinct, series_inv, series_mul)
 from .errors import DegenerateInput, ObstructionNonzero
 from .quaddiff import LaurentData, e_sums
-
-RESIDUAL_TOL = 1e-8
-OBSTRUCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def g_recursion(delta: int, a, n_terms: int):
                 rhs += a[n - j - 1] * c[j]
         if n == delta:
             scale = 1.0 + max((abs(x) for x in a[:delta]), default=0.0)
-            if abs(rhs) > OBSTRUCTION_TOL * scale:
+            if abs(rhs) > CRITERION_TOL * scale:
                 raise ObstructionNonzero(rhs)
             c.append(0j)
         else:
@@ -172,17 +170,19 @@ def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyCla
     if d == 0:
         return HolonomyClass(HolonomyClass.PARABOLIC_ZERO)
     if d is not None:
-        b_hat = series_obstruction(d, q_tail)  # also rejects a tail shorter than d + 1
+        if q_tail.order < d + 1:
+            raise DegenerateInput("series must carry at least d+1 tail coefficients")
         try:
             g_recursion(d, q_tail.coeffs, d + 1)
         except ObstructionNonzero:
-            return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED, obstruction=b_hat)
+            return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED,
+                                 obstruction=series_obstruction(d, q_tail))
         return HolonomyClass(HolonomyClass.IDENTITY)
     delta = cmath.sqrt(1.0 - 2.0 * complex(germ.leading))
-    if delta.real < 0 or (abs(delta.real) < 1e-14 and delta.imag < 0):
+    if delta.real < 0 or (abs(delta.real) < BRANCH_TOL and delta.imag < 0):
         delta = -delta
     multiplier = cmath.exp(2j * cmath.pi * delta)
-    unitary = abs(abs(multiplier) - 1.0) <= 1e-9
+    unitary = abs(abs(multiplier) - 1.0) <= UNIT_TOL
     return HolonomyClass(HolonomyClass.ELLIPTIC, multiplier=multiplier, unitary=unitary)
 
 
@@ -191,6 +191,12 @@ def _other_poles(points, alpha, beta):
     return [sum(aj / (ci - cj) + beta / (ci - cj) ** 2
                 for j, (cj, aj) in enumerate(zip(points, alpha)) if j != i)
             for i, ci in enumerate(points)]
+
+
+def residual_tol(values):
+    """CRITERION_TOL (1 + max |v|)^2, the tolerance of the L_i and E_m."""
+    scale = 1.0 + max(abs(v) for v in values)
+    return CRITERION_TOL * scale * scale
 
 
 def L_values(config: CriticalConfiguration):
@@ -253,8 +259,7 @@ def check_rational_criterion(config: CriticalConfiguration,
     k = len(config.points)
     if k % 2 != 0 or k < 2:
         raise DegenerateInput("need k = 2d-2 critical points for some d >= 2")
-    scale = 1.0 + max([abs(c) for c in config.points] + [abs(a) for a in config.params])
-    tol = RESIDUAL_TOL * scale * scale
+    tol = residual_tol(config.points + config.params)
     ls = L_values(config)
     es = e_sums(config.points, config.params, 3)
     rec = DecisionRecord(variant=variant)
@@ -287,8 +292,7 @@ def check_polynomial_criterion(points):
     require_distinct(pts, "critical points")
     params = [s * 2.0 / 3.0 for s in _other_poles(pts, [1.0] * k, 0.0)]
     config = CriticalConfiguration(tuple(pts), tuple(params))
-    scale = 1.0 + max(abs(c) for c in pts)
-    tol = RESIDUAL_TOL * scale * scale
+    tol = residual_tol(pts)
     rec = DecisionRecord(variant="polynomial")
     for i, l in enumerate(L_values(config)):
         rec.add(f"L{i + 1}", l, tol)

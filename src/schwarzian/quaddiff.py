@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Poly, RationalMap, _w, poly_roots, root_clusters, series_div
+from .algebra import (CLUSTER_RADIUS, CRITERION_TOL, Poly, RationalMap, _w, poly_roots,
+                      root_clusters, series_div)
 from .errors import DegenerateInput, PoleTooHigh
 
 
@@ -34,10 +35,10 @@ class LaurentData:
 
     def _integer_delta(self) -> Optional[int]:
         # The one integer-degree test: leading = (1 - d^2)/2 for an integer
-        # d >= 0, within 1e-8 relative; d = 0 is the parabolic germ.
+        # d >= 0, within CRITERION_TOL relative; d = 0 is the parabolic germ.
         lead = complex(self.leading)
         d = round(math.sqrt(max(1.0 - 2.0 * lead.real, 0.0)))
-        if abs(lead - (1.0 - d * d) / 2.0) <= 1e-8 * (1.0 + abs(lead)):
+        if abs(lead - (1.0 - d * d) / 2.0) <= CRITERION_TOL * (1.0 + abs(lead)):
             return d
         return None
 
@@ -63,11 +64,6 @@ class InfinityType:
         if self.kind == self.DOUBLE:
             return f"InfinityType(DoublePole, leading={self.leading})"
         return f"InfinityType({self.kind})"
-
-    def __eq__(self, other):
-        if not isinstance(other, InfinityType):
-            return NotImplemented
-        return self.kind == other.kind
 
 
 def _wronskian(p: Poly, q: Poly) -> Poly:
@@ -99,7 +95,7 @@ def laurent_at(phi: RationalMap, c, order: int) -> LaurentData:
     Requires c to be at worst a double pole; the expansion satisfies
     phi(z) = leading/(z-c)^2 + sum a_k (z-c)^(k-2) + O((z-c)^(order-1)).
     The pole order m at c is the multiplicity of the denominator root
-    cluster (see root_clusters) within relative distance 1e-4 of c.
+    cluster (see root_clusters) within relative distance CLUSTER_RADIUS of c.
 
     The shift to c and the series division run in complex floats.  Measured
     against exact rational arithmetic (tests/conftest.exact_laurent), the
@@ -110,7 +106,7 @@ def laurent_at(phi: RationalMap, c, order: int) -> LaurentData:
     """
     c = complex(c)
     m = sum(k for center, k in root_clusters(phi.den)
-            if abs(center - c) <= 1e-4 * (1.0 + abs(c)))
+            if abs(center - c) <= CLUSTER_RADIUS * (1.0 + abs(c)))
     return _expand(phi, c, m, order)
 
 

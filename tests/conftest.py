@@ -60,6 +60,12 @@ def tetrahedral_images(rng, n):
     return out
 
 
+def mobius_is_identity(m) -> bool:
+    """+-I to 1e-9 in every entry of the det-1 matrix."""
+    return abs(m.b) <= 1e-9 and abs(m.c) <= 1e-9 and any(
+        abs(m.a - s) <= 1e-9 and abs(m.d - s) <= 1e-9 for s in (1.0, -1.0))
+
+
 def series_schwarzian_laurent(f_series, d, n_out):
     """Independent oracle: Laurent coefficients of the Schwarzian of a
     truncated primitive with leading term t^d/d.

@@ -1,5 +1,12 @@
+import ast
+import tokenize
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import schwarzian
 
 from schwarzian import (
     INF,
@@ -14,7 +21,7 @@ from schwarzian import (
 )
 from schwarzian.algebra import riemann_close, series_inv, series_mul
 
-from conftest import rand_complex, rand_poly
+from conftest import mobius_is_identity, rand_complex, rand_poly
 
 
 def test_poly_mul_difference_of_squares():
@@ -146,7 +153,7 @@ def test_rational_normalize_rejects_undecidable_common_root():
 
 
 def test_mobius_apply_basic():
-    assert Mobius.identity()(2 + 1j) == 2 + 1j
+    assert Mobius(1, 0, 0, 1)(2 + 1j) == 2 + 1j
     inv = Mobius(0, 1, 1, 0)
     assert inv(0j) is INF
     assert inv(INF) == 0
@@ -154,7 +161,7 @@ def test_mobius_apply_basic():
 
 def test_mobius_from_triples_identity():
     m = mobius_from_triples((0, 1, INF), (0, 1, INF))
-    assert m.is_identity()
+    assert mobius_is_identity(m)
 
 
 def test_mobius_from_triples_interpolates(rng):
@@ -213,3 +220,24 @@ def test_rational_eval_at_infinity():
     assert f(INF) is INF
     g = RationalMap(Poly([1]), Poly([0, 1]))
     assert g(INF) == 0
+
+
+def test_every_tolerance_is_in_the_table():
+    # A float literal with a negative exponent is a tolerance.  The only ones
+    # in src/ are the values of the module-level table in algebra.py, and no
+    # module-level constant name is defined in two modules.
+    src = Path(schwarzian.__file__).parent
+    table = {node.lineno for node in ast.parse((src / "algebra.py").read_text()).body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)}
+    stray, names = [], Counter()
+    for path in sorted(src.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if (tok.type == tokenize.NUMBER and "e-" in tok.string.lower()
+                        and not (path.name == "algebra.py" and tok.start[0] in table)):
+                    stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+        names.update(target.id for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.Assign) for target in node.targets
+                     if isinstance(target, ast.Name) and target.id.isupper())
+    assert stray == []
+    assert [name for name, count in names.items() if count > 1] == []

@@ -8,6 +8,8 @@ from schwarzian import FiberSolveReport, Poly, RationalMap, merom_generator, y_p
 from schwarzian.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, main
 from schwarzian.jsonio import encode_rational
 
+from conftest import normalized_wronskian, tetrahedral_images
+
 
 def run_cli(monkeypatch, capsys, argv, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
@@ -175,6 +177,29 @@ def test_cubic_tetrahedral_points(monkeypatch, capsys):
         assert len(out["fiber_branches"]) == 1
 
 
+def test_cubic_far_from_zero_and_rescaled(monkeypatch, capsys):
+    # 200 point sets, half of them Mobius images of the tetrahedron, moved 1e4
+    # spreads from 0 and, separately, rescaled by 1e5: each exits 0, has one
+    # branch exactly over a tetrahedron, and each branch's Wronskian is the
+    # monic quartic with the points as roots
+    rng = np.random.default_rng(17)
+    sets = tetrahedral_images(rng, 100)
+    sets += [list(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(100)]
+    for pts in sets:
+        centre = sum(pts) / 4
+        spread = max(abs(p - centre) for p in pts)
+        offset = 1e4 * spread * np.exp(2j * np.pi * rng.uniform())
+        for moved in ([complex(p - centre + offset) for p in pts], [1e5 * p for p in pts]):
+            payload = {"points": [[z.real, z.imag] for z in moved]}
+            code, out, _ = run_cli(monkeypatch, capsys, ["cubic"], payload)
+            assert code == EXIT_OK
+            assert (len(out["fiber_branches"]) == 1) == out["tetrahedron"]
+            quartic = np.poly(moved)[::-1]
+            for b in out["fiber_branches"]:
+                w = normalized_wronskian(np.array([complex(*c) for c in b["a_p"] + b["a_q"]]))
+                assert np.max(np.abs(w - quartic)) <= 1e-9 * np.max(np.abs(quartic))
+
+
 def test_reconstruct_local_subcommand(monkeypatch, capsys):
     payload = {
         "phi": {"num": [[-1.5, 0]], "den": [[0, 0], [0, 0], [1, 0], [-2, 0], [1, 0]]},
@@ -245,7 +270,7 @@ def test_flag_validation(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [["check", "--tol", "1e-9"], ["cubic", "--seed", "1"],
-                                  ["solve", "--order", "8"]])
+                                  ["solve", "--order", "8"], ["schwarzian", "--order", "8"]])
 def test_flags_only_where_they_act(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -22,10 +22,9 @@ from schwarzian import (
     schwarzian,
     wronskian,
 )
-from schwarzian.algebra import riemann_close
-from schwarzian.cubic import _induced_permutation
+from schwarzian.algebra import _chordal, riemann_close
 
-from conftest import rand_complex, rational_close, tetrahedral_images
+from conftest import mobius_is_identity, rand_complex, rand_poly, rational_close, tetrahedral_images
 
 
 def test_cross_ratio_normalization():
@@ -202,7 +201,7 @@ def test_four_group_properties():
     ms = four_group(pts)
     assert len(ms) == 3
     for m in ms:
-        assert not m.is_identity()
+        assert not mobius_is_identity(m)
         # involution
         sq = m @ m
         for z in (0.3, 1.1 - 0.2j, -2.0):
@@ -242,14 +241,42 @@ def test_lift_correspondence_schwarzian_compatible():
         assert abs(g.leading - (-1.5)) <= 1e-7
 
 
+def test_lift_correspondence_holds_off_the_sample_points():
+    # f o M = N o f at 8 points away from the 20 that lift_correspondence
+    # verifies, on 100 random cubics and 100 members of the h_alpha family
+    rng = np.random.default_rng(23)
+    maps = [RationalMap(rand_poly(rng, 3), rand_poly(rng, 3)) for _ in range(100)]
+    maps += [h_alpha(rand_complex(rng, 2.0)) for _ in range(100)]
+    for f in maps:
+        pairs = lift_correspondence(f)
+        assert len(pairs) == 3
+        for m, n in pairs:
+            for k in range(8):
+                z = (0.6 if k % 2 else 3.1) * cmath.exp(2j * cmath.pi * (k + 0.5) / 8)
+                assert riemann_close(f(m(z)), n(f(z)), tol=1e-7)
+
+
+def _nearest_permutation(m, points):
+    # Index of the point nearest each image, which must lie within 1e-6
+    perm = []
+    for p in points:
+        dist = [_chordal(m(p), q) for q in points]
+        perm.append(dist.index(min(dist)))
+        assert dist[perm[-1]] <= 1e-6
+    return perm
+
+
 def test_lift_correspondence_close_critical_values():
-    # Critical values 1 and 1 + 1.4e-7 lie within the matching tolerance of
-    # each other, so each image must go to its nearest value.
+    # Critical values 1 and 1 + 1.4e-7 lie close together, so each image must
+    # go to its nearest value.  Each involution permutes its four points, and
+    # the paired M and N permute critical points and values alike.
     h = h_alpha(cmath.sqrt(1.0124267453851876 + 0.0020538062647742377j))
     crit = critical_points(h)
     values = [h(c) for c in crit]
-    for m in four_group(crit):
-        assert sorted(_induced_permutation(m, crit)) == [0, 1, 2, 3]
-    for n in four_group(values):
-        assert sorted(_induced_permutation(n, values)) == [0, 1, 2, 3]
-    assert len(lift_correspondence(h)) == 3
+    for pts in (crit, values):
+        for m in four_group(pts):
+            assert sorted(_nearest_permutation(m, pts)) == [0, 1, 2, 3]
+    pairs = lift_correspondence(h)
+    assert len(pairs) == 3
+    for m, n in pairs:
+        assert _nearest_permutation(m, crit) == _nearest_permutation(n, values)

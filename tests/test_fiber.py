@@ -35,8 +35,8 @@ def test_catalan_values():
 
 def test_coords_polys():
     c = NormalizedMapCoords(2, (1, 2), (3, 4))
-    assert c.p_poly() == Poly([1, 2, 0, 1])
-    assert c.q_poly() == Poly([3, 4, 1])
+    assert coords_to_map(c).num == Poly([1, 2, 0, 1])
+    assert coords_to_map(c).den == Poly([3, 4, 1])
     back = NormalizedMapCoords.from_vector(2, c.vector())
     assert back == c
 
