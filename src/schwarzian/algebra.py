@@ -36,7 +36,6 @@ NEWTON_TOL = 1e-9  # Newton accepts: max |residual| over the target dilated to r
 DEDUP_TOL = 1e-6  # two fiber points are one: max-norm distance, dilated coordinates
 TETRAHEDRON_TOL = 1e-8  # quartic invariant I is 0: x |J|^(2/3), unchanged by Mobius maps
 CRITICAL_VALUE_TOL = 1e-8  # a cubic's critical values are apart: x (1 + |value|)
-CHORDAL_TOL = 1e-9  # chordal distance, which has no scale: riemann_close's default
 FOUR_GROUP_TOL = 1e-8  # chordal: a four-group involution's image of the fourth point
 LIFT_TOL = 1e-7  # chordal: f o M = N o f for a lift of a cubic
 
@@ -493,6 +492,6 @@ def _chordal(p, q):
     return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
 
 
-def riemann_close(p, q, tol=CHORDAL_TOL):
+def riemann_close(p, q, tol):
     """Chordal-metric comparison of two Riemann-sphere points."""
     return _chordal(p, q) <= tol

@@ -1,8 +1,8 @@
 """JSON command-line front end.
 
-Grammar: schwarzian check|reconstruct-local [--order N] [--in FILE|-],
+Grammar: schwarzian reconstruct-local [--order N] [--in FILE|-],
 schwarzian solve [--seed N] [--attempts N] [--in FILE|-],
-schwarzian schwarzian|cubic [--in FILE|-].  Input JSON on stdin or file;
+schwarzian schwarzian|check|cubic [--in FILE|-].  Input JSON on stdin or file;
 output JSON on stdout, diagnostics on stderr.  Exit codes: 0 ok, 2 parse error,
 3 degenerate input, 4 solver failure.
 """
@@ -48,7 +48,7 @@ from .primitivity import (
     residual_tol,
     series_obstruction,
 )
-from .quaddiff import _expand, laurent_at, pole_report, schwarzian
+from .quaddiff import _expand, _pole_order, pole_report, schwarzian
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -99,10 +99,18 @@ def cmd_check(payload, args):
     phi = decode_rational(_require(payload, "phi"))
     mode = _require(payload, "mode")
     if mode == "local":
-        point = decode_complex(_require(payload, "point"))
-        germ = laurent_at(phi, point, args.order)
+        point = complex(decode_complex(_require(payload, "point")))
+        # Every verdict reads a_1..a_d, with d fixed by the leading term alone.
+        m = _pole_order(phi.den, point)
+        germ = _expand(phi, point, m, 1)
         d = germ.local_degree_hint
-        q = algebra.TruncatedSeries(base=complex(point), coeffs=germ.residue_and_tail)
+        if d is not None:
+            # 92 is the largest d at which the determinant's slope in a_d,
+            # prod k_j = 2^(d-1) ((d-1)!)^2, is a finite double.
+            if d > 92:
+                raise DegenerateInput(f"local degree {d} > 92 overflows the determinant")
+            germ = _expand(phi, point, m, d + 1)
+        q = algebra.TruncatedSeries(base=point, coeffs=germ.residue_and_tail)
         holonomy = classify_holonomy(germ, q).kind
         out = {
             "mode": "local",
@@ -114,25 +122,17 @@ def cmd_check(payload, args):
             out["verdict"] = "leading coefficient is not (1-d^2)/2 for integer d"
             out["holonomy"] = holonomy
             return out
-        out.update(
-            {
-                "determinant": encode_complex(
-                    condition_determinant(d, list(germ.residue_and_tail[:d]))),
-                "b_hat": encode_complex(series_obstruction(d, q)),
-                "holonomy": holonomy,
-                "primitive_exists": holonomy == HolonomyClass.IDENTITY,
-            }
-        )
-        return out
+        det = encode_complex(condition_determinant(d, germ.residue_and_tail[:d]))
+        return dict(out, determinant=det, b_hat=encode_complex(series_obstruction(d, q)),
+                    holonomy=holonomy, primitive_exists=holonomy == HolonomyClass.IDENTITY)
     if mode in ("rational", "polynomial"):
         return _check_residue_system(phi, mode, payload.get("variant", "AllL_E123"))
     if mode == "merom":
         # A meromorphic primitive may have an essential singularity at
-        # infinity, so only the finite poles are tested.
-        order = max(args.order, 3)
+        # infinity, so only the finite poles are tested, each to a_3 for d = 2.
         equations = []
         for center, m in algebra.root_clusters(phi.den):
-            g = _expand(phi, center, m, order)
+            g = _expand(phi, center, m, 3)
             q = algebra.TruncatedSeries(base=g.pole, coeffs=g.residue_and_tail)
             ok = (g.local_degree_hint == 2
                   and classify_holonomy(g, q).kind == HolonomyClass.IDENTITY)
@@ -180,26 +180,22 @@ def cmd_solve(payload, args):
 
 def cmd_cubic(payload, args):
     _reject_unknown(payload, {"points", "quartic"})
-    # The fiber is solved over the quartic w with the roots moved by z -> (z - s)/lam.
-    # Points go to mean 0 and spread about 1, which keeps their accuracy however far
-    # from 0 they sit; lam is a power of 2, so the scaling is exact.
     if "points" in payload:
         points = [decode_complex(p) for p in payload["points"]]
         if len(points) != 4:
             raise DegenerateInput("need exactly four points")
-        t = cross_ratio(*points)  # rejects repeated points
-        s = sum(complex(p) for p in points) / 4
-        lam = 2.0 ** round(math.log2(max(abs(complex(p) - s) for p in points)))
-        w = list(algebra.Poly.from_roots([(complex(p) - s) / lam for p in points]).coeffs[:4])
     else:
         target = decode_poly(_require(payload, "quartic"))
         if target.degree != 4:
             raise DegenerateInput("quartic must have degree 4")
-        target = target.monic()
-        points = algebra.poly_roots(target)
-        t = cross_ratio(*points)
-        s, lam = -target.coeffs[3] / 4, 1.0
-        w = target.shift(s)[:4]
+        points = algebra.poly_roots(target.monic())
+    # The fiber is solved over the quartic w with the roots moved by z -> (z - s)/lam.
+    # Points go to mean 0 and spread about 1, which keeps their accuracy however far
+    # from 0 they sit; lam is a power of 2, so the scaling is exact.
+    t = cross_ratio(*points)  # rejects repeated points
+    s = sum(complex(p) for p in points) / 4
+    lam = 2.0 ** round(math.log2(max(abs(complex(p) - s) for p in points)))
+    w = list(algebra.Poly.from_roots([(complex(p) - s) / lam for p in points]).coeffs[:4])
     return {
         "points": [encode_complex(p) for p in points],
         "cross_ratio": encode_complex(t),
@@ -253,7 +249,7 @@ def build_parser():
         if name == "solve":
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--attempts", type=int, default=None)
-        if name in ("check", "reconstruct-local"):
+        if name == "reconstruct-local":
             p.add_argument("--order", type=int, default=32)
         p.add_argument("--in", dest="infile", default="-")
     return parser
@@ -289,8 +285,12 @@ def main(argv=None):
     except SchwarzianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    json.dump(result, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(result, allow_nan=False)
+    except ValueError:
+        print("error: a result is beyond double range", file=sys.stderr)
+        return EXIT_DEGENERATE
+    print(text)
     return EXIT_OK
 
 

@@ -81,26 +81,21 @@ def criticality_discriminant(w):
 
 
 def cubic_fiber_explicit(w):
-    """Both branches of the cubic Wronskian fiber over z^4 + w3 z^3 + ... + w0.
+    """The branches of the cubic Wronskian fiber over z^4 + w3 z^3 + ... + w0.
 
-    b_1 = w_3/2, a_0 = -w_1/2, a_1 = (-w_2 +- s)/2, b_0 = (w_2 +- s)/6 with
-    s the principal square root of the criticality discriminant.  A single
-    solution is reported when the quartic is equianharmonic, the same test
-    as is_regular_tetrahedron.
+    b_1 = w_3/2, a_0 = -w_1/2, a_1 = (-w_2 + s)/2, b_0 = (w_2 + s)/6 with
+    s = +-sqrt of the criticality discriminant, principal root first.  When
+    the quartic is equianharmonic, the same test as is_regular_tetrahedron,
+    the discriminant is 0 and the one merged branch s = 0 is reported.
     """
     w0, w1, w2, w3 = (complex(x) for x in w)
-    disc = criticality_discriminant((w0, w1, w2, w3))
-    s = cmath.sqrt(disc)
-    b1 = w3 / 2.0
-    a0 = -w1 / 2.0
-    out = []
-    for sign in (1.0, -1.0):
-        a1 = 0.5 * (-w2 + sign * s)
-        b0 = (w2 + sign * s) / 6.0
-        out.append(NormalizedMapCoords(2, (a0, a1), (b0, b1)))
     if _equianharmonic(w0, w1, w2, w3, 1.0):
-        return out[:1]
-    return out
+        s_values = (0j,)
+    else:
+        s = cmath.sqrt(criticality_discriminant((w0, w1, w2, w3)))
+        s_values = (s, -s)
+    return [NormalizedMapCoords(2, (-w1 / 2.0, 0.5 * (-w2 + s)), ((w2 + s) / 6.0, w3 / 2.0))
+            for s in s_values]
 
 
 def h_alpha(alpha) -> RationalMap:

@@ -134,14 +134,14 @@ def wronskian_jacobian(coords: NormalizedMapCoords):
     return np.array(cols).T[: 2 * mu]
 
 
-def _newton_run(mu, target_vec, start, max_iter=100):
+def _newton_run(mu, target_vec, start):
     def residual(x):
         return _w(*_pq(mu, x))[: 2 * mu] - target_vec
 
     x = np.array(start, dtype=complex)
     fx = residual(x)
     res = float(np.max(np.abs(fx)))
-    for _ in range(max_iter):
+    for _ in range(100):
         # Iterate to the rounding floor: singular fibers converge linearly and
         # the coordinate error goes like sqrt(residual).
         if res == 0.0:

@@ -105,9 +105,12 @@ def laurent_at(phi: RationalMap, c, order: int) -> LaurentData:
     2.1e-15 on h_alpha(2).
     """
     c = complex(c)
-    m = sum(k for center, k in root_clusters(phi.den)
-            if abs(center - c) <= CLUSTER_RADIUS * (1.0 + abs(c)))
-    return _expand(phi, c, m, order)
+    return _expand(phi, c, _pole_order(phi.den, c), order)
+
+
+def _pole_order(den, c: complex) -> int:
+    return sum(k for center, k in root_clusters(den)
+               if abs(center - c) <= CLUSTER_RADIUS * (1.0 + abs(c)))
 
 
 def _expand(phi: RationalMap, c: complex, m: int, order: int) -> LaurentData:

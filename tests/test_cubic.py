@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ def test_cubic_fiber_explicit_merged():
     assert np.allclose(w.coeffs, [0, -2, 0, 0, 1], atol=1e-10)
 
 
+def test_merged_branch_does_not_depend_on_labels():
+    # Over a tetrahedron the one branch is the same under all 24 orderings of
+    # the four roots, and its Wronskian is the quartic
+    for pts in tetrahedral_images(np.random.default_rng(1), 200):
+        first = None
+        for perm in itertools.permutations(pts):
+            w = Poly.from_roots(list(perm)).coeffs[:4]
+            scale = 1 + max(abs(x) for x in w)
+            (b,) = cubic_fiber_explicit(w)
+            first = b.vector() if first is None else first
+            assert np.max(np.abs(b.vector() - first)) <= 1e-12 * scale
+            assert np.max(np.abs(np.array(wronskian(b).coeffs) - [*w, 1])) <= 1e-12 * scale
+
+
 def test_cubic_fiber_explicit_random(rng):
     for _ in range(10):
         w = tuple(rand_complex(rng) for _ in range(4))
@@ -218,6 +233,14 @@ def test_four_group_random_quadruple(rng):
     for m in ms:
         for p in pts:
             assert any(riemann_close(m(p), q, tol=1e-6) for q in pts)
+
+
+def test_four_group_rejects_inaccurate_involutions():
+    # Two points apart by more than DISTINCT_TOL but close enough that the
+    # computed involutions miss the fourth point: the validation rejects them
+    for k in (2e-12, 1e-11, 1e-10):
+        with pytest.raises(DegenerateInput, match="validation"):
+            four_group([0.1 + 0.2j, -0.3 + 0.05j, 0.2 - 0.4j, 0.1 + 0.2j + k * (1 + 0.6j)])
 
 
 def test_lift_correspondence_h2():
