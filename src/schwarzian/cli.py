@@ -109,7 +109,7 @@ def cmd_check(payload, args):
             # prod k_j = 2^(d-1) ((d-1)!)^2, is a finite double.
             if d > 92:
                 raise DegenerateInput(f"local degree {d} > 92 overflows the determinant")
-            germ = _expand(phi, point, m, d + 1)
+            germ = _expand(phi, point, m, d)
         q = algebra.TruncatedSeries(base=point, coeffs=germ.residue_and_tail)
         holonomy = classify_holonomy(germ, q).kind
         out = {
@@ -122,17 +122,17 @@ def cmd_check(payload, args):
             out["verdict"] = "leading coefficient is not (1-d^2)/2 for integer d"
             out["holonomy"] = holonomy
             return out
-        det = encode_complex(condition_determinant(d, germ.residue_and_tail[:d]))
+        det = encode_complex(condition_determinant(d, germ.residue_and_tail))
         return dict(out, determinant=det, b_hat=encode_complex(series_obstruction(d, q)),
                     holonomy=holonomy, primitive_exists=holonomy == HolonomyClass.IDENTITY)
     if mode in ("rational", "polynomial"):
         return _check_residue_system(phi, mode, payload.get("variant", "AllL_E123"))
     if mode == "merom":
         # A meromorphic primitive may have an essential singularity at
-        # infinity, so only the finite poles are tested, each to a_3 for d = 2.
+        # infinity, so only the finite poles are tested, each to a_2 for d = 2.
         equations = []
         for center, m in algebra.root_clusters(phi.den):
-            g = _expand(phi, center, m, 3)
+            g = _expand(phi, center, m, 2)
             q = algebra.TruncatedSeries(base=g.pole, coeffs=g.residue_and_tail)
             ok = (g.local_degree_hint == 2
                   and classify_holonomy(g, q).kind == HolonomyClass.IDENTITY)

@@ -10,8 +10,8 @@ import numpy as np
 
 from .algebra import (DEDUP_TOL, NEWTON_TOL, ROUNDING_TOL, UNIT_TOL, Poly, RationalMap,
                       TruncatedSeries, _w, poly_roots, require_distinct, series_inv, series_mul)
-from .errors import DegenerateInput
-from .primitivity import g_recursion
+from .errors import DegenerateInput, ObstructionNonzero
+from .primitivity import _resonance_vanishes, g_recursion
 from .quaddiff import laurent_at
 
 
@@ -85,14 +85,14 @@ class FiberSolveReport:
 def local_g(d: int, q: TruncatedSeries, order: int) -> TruncatedSeries:
     """Solve 2(d-1)g' - 2zg'' = qg for g = 1 + c_1 z + ... + c_{order-1} z^{order-1}.
 
-    This is g_recursion with delta = d: at the resonant index n = d the right
-    side must vanish (ObstructionNonzero otherwise) and c_d is set to 0.
+    This is g_recursion: the right side r of the resonant equation n = d must
+    pass the resonance test (ObstructionNonzero otherwise), and c_d is set to 0.
+    q must carry a_1..a_{order-1}, and order >= d + 1.
     """
-    if d < 1:
-        raise DegenerateInput("d must be >= 1")
-    if order < d + 1:
-        raise DegenerateInput("order must be >= d + 1")
-    return TruncatedSeries(base=q.base, coeffs=tuple(g_recursion(d, q.coeffs, order)))
+    c, r = g_recursion(d, q.coeffs, order)
+    if not _resonance_vanishes(d, q.coeffs, r):
+        raise ObstructionNonzero(r)
+    return TruncatedSeries(base=q.base, coeffs=tuple(c))
 
 
 def local_primitive(phi: RationalMap, c, order: int) -> TruncatedSeries:

@@ -1,23 +1,23 @@
 """Criteria deciding when a germ or a global rational function is a Schwarzian.
 
-Contains the banded determinant condition in the Laurent tail, the equivalent
-log-coefficient obstruction from the series recursion, the holonomy class of
-the induced projective structure at a puncture, and the L_i / E_m polynomial
-systems characterizing Schwarzians of rational and polynomial maps with
-prescribed simple critical points.
+The local condition at a pole of leading term (1 - d^2)/2 is one number, r,
+the right side of the resonant equation n = d of g_recursion, read from
+a_1..a_d.  The banded determinant (-1)^(d-1) (prod k_j) r, b_hat_d = r/(2d^2)
+and Y_d(x) = -r(x, 0) are closed forms in it.  Also the holonomy class at a
+puncture, and the L_i / E_m systems characterizing Schwarzians of rational and
+polynomial maps with prescribed simple critical points.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import (BRANCH_TOL, CRITERION_TOL, UNIT_TOL, Poly, RationalMap, TruncatedSeries,
-                      require_distinct, series_inv, series_mul)
-from .errors import DegenerateInput, ObstructionNonzero
+                      require_distinct)
+from .errors import DegenerateInput
 from .quaddiff import LaurentData, e_sums
 
 
@@ -77,82 +77,73 @@ def k_coefficients(d: int):
     return [2.0 * j * (j - d) for j in range(1, d)]
 
 
-def condition_determinant(d: int, a):
-    """The d x d banded determinant in the tail a_1..a_d.
+def g_recursion(d: int, a, n_terms: int):
+    """c_0 = 1 and c_1..c_{n_terms-1} of the series g solving
+    2(d-1)g' - 2zg'' = qg, q = a_1 + a_2 z + ... (a[0] is a_1), and r.
 
-    First column a_1..a_d, superdiagonal k_1..k_{d-1}, Toeplitz a-fill below;
-    the germ has a meromorphic Schwarzian primitive iff the value is zero.
+    Recursion -k_n c_n = a_n + a_{n-1} c_1 + ... + a_1 c_{n-1} with
+    k_n = 2n(n - d).  At the resonant index n = d, k_d = 0: the right side
+    there is r, returned unjudged, and c_d is set to 0.  A tail shorter than
+    a_1..a_{n_terms-1} raises DegenerateInput rather than being read as zeros.
     """
-    a = [complex(x) for x in a]
-    if d < 1 or len(a) != d:
+    if d < 1 or n_terms < d + 1:
+        raise DegenerateInput("need d >= 1 and at least d + 1 terms")
+    if len(a) < n_terms - 1:
+        raise DegenerateInput(f"need a_1..a_{n_terms - 1}, got {len(a)} tail coefficients")
+    c, r = [1.0 + 0j], 0j
+    for n in range(1, n_terms):
+        rhs = sum(map(operator.mul, a[n - 1::-1], c))  # a_n c_0 + ... + a_1 c_{n-1}
+        if n == d:
+            c.append(0j)
+            r = rhs
+        else:
+            c.append(-rhs / (2.0 * n * (n - d)))
+    return c, r
+
+
+def _resonance_vanishes(d: int, a, r) -> bool:
+    # The one test of the local condition, relative to the a_1..a_d in r.
+    return abs(r) <= CRITERION_TOL * (1.0 + max(abs(x) for x in a[:d]))
+
+
+def condition_determinant(d: int, a):
+    """The d x d banded determinant in the tail a_1..a_d, as (-1)^(d-1) (prod k_j) r.
+
+    The paper's M has first column a_1..a_d, superdiagonal k_1..k_{d-1} and a
+    Toeplitz a-fill below; the germ has a meromorphic primitive iff det M = 0.
+    For c = (c_0..c_{d-1}) of g_recursion, rows 1..d-1 of M c are its equations
+    n < d and row d is r, so M c = r e_d.  As c_0 = 1, putting M c in column 1
+    keeps det M; expanding that column leaves (-1)^(d-1) r times a lower
+    triangular minor with diagonal k_1..k_{d-1}.  Overflows from d = 93.
+    """
+    if len(a) != d:
         raise DegenerateInput("need exactly d tail coefficients")
-    if d == 1:
-        return a[0]
-    ks = k_coefficients(d)
-    m = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for col in range(d):
-            if col == i + 1:
-                m[i, col] = ks[i]
-            elif col <= i:
-                m[i, col] = a[i - col]
-    return complex(np.linalg.det(m))
+    _, r = g_recursion(d, a, d + 1)
+    return (-1.0) ** (d - 1) * math.prod(k_coefficients(d)) * r
 
 
 def y_polynomial(d: int, x):
     """The value Y_d(x_1..x_{d-1}) making the determinant vanish at x_d = Y_d.
 
-    The determinant is affine in x_d with slope N = (-1)^(d-1) * prod k_j != 0.
+    r = a_d + terms in a_1..a_{d-1}, so Y_d(x) = -r(x_1..x_{d-1}, 0).
     """
-    x = [complex(v) for v in x]
-    if d < 1 or len(x) != d - 1:
+    if len(x) != d - 1:
         raise DegenerateInput("need exactly d-1 coefficients")
-    if d == 1:
-        return 0j
-    det0 = condition_determinant(d, x + [0j])
-    return -det0 / ((-1.0) ** (d - 1) * math.prod(k_coefficients(d)))
-
-
-def g_recursion(delta: int, a, n_terms: int):
-    """c_0 = 1 and c_1..c_{n_terms-1} of the series g solving
-    2(delta-1)g' - 2zg'' = qg, q = a_1 + a_2 z + ... (a[0] is a_1).
-
-    Recursion -k_n c_n = a_n + a_{n-1} c_1 + ... + a_1 c_{n-1} with
-    k_n = 2n(n - delta).  At the resonant index n = delta the right side must
-    vanish relative to a_1..a_delta, the coefficients entering that equation
-    (ObstructionNonzero otherwise), and c_delta is set to 0.
-    """
-    c = [1.0 + 0j]
-    for n in range(1, n_terms):
-        rhs = 0j
-        for j in range(n):
-            if n - j - 1 < len(a):
-                rhs += a[n - j - 1] * c[j]
-        if n == delta:
-            scale = 1.0 + max((abs(x) for x in a[:delta]), default=0.0)
-            if abs(rhs) > CRITERION_TOL * scale:
-                raise ObstructionNonzero(rhs)
-            c.append(0j)
-        else:
-            c.append(-rhs / (2.0 * n * (n - delta)))
-    return c
+    _, r = g_recursion(d, [*x, 0j], d + 1)
+    return -r
 
 
 def series_obstruction(d: int, q: TruncatedSeries):
-    """The log coefficient b_hat_d of the always-solvable branch.
+    """The log coefficient b_hat_d = r / (2 d^2) of the always-solvable branch.
 
-    Solves the g-recursion with delta = -d (all k_n nonzero), inverts g^2 as a
-    series and returns its zeta^d coefficient; vanishes exactly when the
-    banded determinant does.
+    b_hat_d = [z^d] 1/g_-^2, g_- the series of the recursion at -d.  Solutions
+    of y'' + (phi/2) y = 0 are y_+ = z^((1+d)/2) g_- and y_- = z^((1-d)/2)
+    (1 + c_1 z + ...) + lambda y_+ log z, with c_1..c_{d-1} of g_recursion;
+    its equation n = d reads r/2 + d lambda = 0.  (y_-/y_+)' is
+    -d z^(-d-1)/g_-^2, whose residue is -d b_hat_d = lambda = -r/(2d).
     """
-    if d < 1:
-        raise DegenerateInput("d must be >= 1")
-    if q.order < d + 1:
-        raise DegenerateInput("series must carry at least d+1 tail coefficients")
-    g = g_recursion(-d, q.coeffs, d + 1)
-    g2 = series_mul(g, g, d + 1)
-    inv = series_inv(g2, d + 1)
-    return inv[d]
+    _, r = g_recursion(d, q.coeffs, d + 1)
+    return r / (2.0 * d * d)
 
 
 def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyClass:
@@ -160,24 +151,20 @@ def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyCla
 
     delta is the root of 1 - 2*leading with Re delta >= 0 (Im >= 0 when
     Re = 0).  Whether delta is an integer d is the test behind
-    germ.local_degree_hint.  For d >= 1 the generator is the identity iff
-    g_recursion(d, ...) passes its resonance test, the test local_primitive
-    makes; otherwise it is parabolic with obstruction b_hat_d.  d = 0 is
-    parabolic, and a non-integer delta elliptic with multiplier
+    germ.local_degree_hint.  For d >= 1 the generator is the identity iff r of
+    g_recursion passes the resonance test, the test local_primitive makes;
+    otherwise it is parabolic with obstruction b_hat_d = r / (2 d^2).  d = 0
+    is parabolic, and a non-integer delta elliptic with multiplier
     e^(2 pi i delta).
     """
     d = germ._integer_delta()
     if d == 0:
         return HolonomyClass(HolonomyClass.PARABOLIC_ZERO)
     if d is not None:
-        if q_tail.order < d + 1:
-            raise DegenerateInput("series must carry at least d+1 tail coefficients")
-        try:
-            g_recursion(d, q_tail.coeffs, d + 1)
-        except ObstructionNonzero:
-            return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED,
-                                 obstruction=series_obstruction(d, q_tail))
-        return HolonomyClass(HolonomyClass.IDENTITY)
+        _, r = g_recursion(d, q_tail.coeffs, d + 1)
+        if _resonance_vanishes(d, q_tail.coeffs, r):
+            return HolonomyClass(HolonomyClass.IDENTITY)
+        return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED, obstruction=r / (2.0 * d * d))
     delta = cmath.sqrt(1.0 - 2.0 * complex(germ.leading))
     if delta.real < 0 or (abs(delta.real) < BRANCH_TOL and delta.imag < 0):
         delta = -delta

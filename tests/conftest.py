@@ -84,6 +84,34 @@ def series_schwarzian_laurent(f_series, d, n_out):
     return [(m - 1) * c_ser[m] - sq[m] / 2.0 for m in range(min(n, n_out + 1))]
 
 
+def paper_determinant(d, a):
+    """Independent oracle: the paper's d x d banded determinant in a_1..a_d,
+    with first column a_1..a_d, superdiagonal k_j = 2j(j - d) and a Toeplitz
+    a-fill below; numpy det of the dense matrix."""
+    m = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        m[i, : i + 1] = a[i::-1]
+        if i + 1 < d:
+            m[i, i + 1] = 2.0 * (i + 1) * (i + 1 - d)
+    return complex(np.linalg.det(m))
+
+
+def series_b_hat(d, a):
+    """Independent oracle: the log coefficient b_hat_d = [z^d] 1/g^2, where
+    g = 1 + c_1 z + ... solves the recursion at -d,
+    2n(n + d) c_n = -(a_n + a_{n-1} c_1 + ... + a_1 c_{n-1}), whose
+    coefficients never vanish; 1/g^2 by a triangular numpy solve."""
+    a = np.asarray(a[:d], dtype=complex)
+    c = np.zeros(d + 1, dtype=complex)
+    c[0] = 1.0
+    for n in range(1, d + 1):
+        c[n] = -np.dot(a[n - 1::-1], c[:n]) / (2.0 * n * (n + d))
+    g2 = np.convolve(c, c)[: d + 1]
+    toeplitz = np.array([[g2[i - j] if j <= i else 0 for j in range(d + 1)]
+                         for i in range(d + 1)])
+    return complex(np.linalg.solve(toeplitz, np.eye(d + 1)[0])[d])
+
+
 def log_derivative_schwarzian(num, den, z):
     """Independent oracle: S_f(z) for f = num/den (ascending coefficient
     arrays) as u' - u^2/2 with u = f''/f' = W'/W - 2d'/d, where f' = W/d^2

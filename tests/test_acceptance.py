@@ -5,6 +5,7 @@ Each test covers one numbered criterion and prints a single pass/fail line
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -45,8 +46,10 @@ from schwarzian.algebra import riemann_close
 
 from conftest import (
     compose_rational,
+    paper_determinant,
     rand_complex,
     rational_close,
+    series_b_hat,
     series_schwarzian_laurent,
     tetrahedral_images,
 )
@@ -70,50 +73,62 @@ def test_criterion_01_worked_example_exactness(f1, f2, phi1, phi2):
 
 
 def test_criterion_02_determinant_criterion(phi1, phi2, rng):
+    # the paper's dense determinant (conftest oracle) against condition_determinant
+    # and against local_g's resonance test
     ok = True
     for phi in (phi1, phi2):
         for c in (0, 1):
-            tail = laurent_at(phi, c, 2).residue_and_tail
-            ok = ok and abs(condition_determinant(2, list(tail))) <= 1e-9
+            tail = list(laurent_at(phi, c, 2).residue_and_tail)
+            ok = ok and abs(paper_determinant(2, tail)) <= 1e-9
+            ok = ok and abs(condition_determinant(2, tail)) <= 1e-9
     agree = 0
     for _ in range(100):
         a1 = rand_complex(rng)
         eps = rand_complex(rng)
         eps = eps / abs(eps) * (1e-3 + abs(rng.normal()))
         a2 = -(a1 * a1) / 2 + eps  # off the zero locus by at least 1e-3
-        det = condition_determinant(2, [a1, a2])
+        det = paper_determinant(2, [a1, a2])
         raised = False
         try:
             local_g(2, TruncatedSeries(base=0j, coeffs=(a1, a2, 0j)), 3)
         except ObstructionNonzero:
             raised = True
-        if abs(det) > 1e-9 and raised:
+        # within rounding of the slope |k_1| = 2 of det in a_2
+        close = abs(condition_determinant(2, [a1, a2]) - det) <= 1e-12 * (2 + abs(det))
+        if abs(det) > 1e-9 and raised and close:
             agree += 1
     ok = ok and agree == 100
     _report("criterion 02 determinant criterion + 100 perturbed tails", ok)
 
 
 def test_criterion_03_series_determinant_equivalence(rng, corpus):
+    # b_hat and the determinant of src/ against the conftest oracles, which
+    # compute the paper's dense determinant and the series b_hat independently
     ok = True
     for _ in range(200):
         d = int(rng.integers(1, 6))
-        a = [rand_complex(rng) for _ in range(d + 1)]
+        a = [rand_complex(rng) for _ in range(d)]
         if rng.uniform() < 0.4:
             # place the germ on the zero locus of the determinant
             a[d - 1] = y_polynomial(d, a[: d - 1])
-        det = condition_determinant(d, a[:d])
+        det, b_ref = paper_determinant(d, a), series_b_hat(d, a)
         b_hat = series_obstruction(d, TruncatedSeries(base=0j, coeffs=tuple(a)))
-        ok = ok and ((abs(det) <= 1e-8) == (abs(b_hat) <= 1e-8))
+        ok = ok and ((abs(det) <= 1e-8) == (abs(b_ref) <= 1e-8) == (abs(b_hat) <= 1e-8))
+        ok = ok and abs(b_hat - b_ref) <= 1e-12 * (1 + abs(b_ref))
+        # det = +-(prod k_j) r, so its rounding scales with the slope prod |k_j|
+        slope = math.prod(2 * j * (d - j) for j in range(1, d))
+        ok = ok and abs(condition_determinant(d, a) - det) <= 1e-12 * (slope + abs(det))
     for f in corpus[:4]:
         phi = schwarzian(f)
         for c in critical_points(f):
             g = laurent_at(phi, c, 8)
             d = g.local_degree_hint
-            det = condition_determinant(d, list(g.residue_and_tail[:d]))
+            tail = list(g.residue_and_tail[:d])
             b_hat = series_obstruction(
                 d, TruncatedSeries(base=complex(c), coeffs=g.residue_and_tail)
             )
-            ok = ok and abs(det) <= 1e-8 and abs(b_hat) <= 1e-8
+            ok = ok and abs(paper_determinant(d, tail)) <= 1e-8
+            ok = ok and abs(series_b_hat(d, tail)) <= 1e-8 and abs(b_hat) <= 1e-8
     _report("criterion 03 series/determinant equivalence", ok)
 
 

@@ -272,11 +272,12 @@ def _far_quartics():
 
 # Poly's relative 1e-12 trim drops the lead 1 of a quartic whose largest
 # coefficient is 1e12 or more, so cubic reads it as degree < 4 and exits 3
-# (ROADMAP item 2); those quartics are run apart as an expected failure.
+# (ROADMAP, "Scale-aware core"); those quartics are run apart as an expected
+# failure.
 @pytest.mark.parametrize("trimmed", [
     False,
     pytest.param(True, marks=pytest.mark.xfail(
-        strict=True, reason="Poly's relative trim drops the lead 1 (ROADMAP item 2)")),
+        strict=True, reason="Poly's relative trim drops the lead 1 (ROADMAP: scale-aware core)")),
 ])
 def test_cubic_quartic_far_from_zero(monkeypatch, capsys, trimmed):
     # Each quartic exits 0, has one branch exactly over a tetrahedron, and

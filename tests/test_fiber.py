@@ -126,6 +126,13 @@ def test_local_g_obstruction():
         local_g(2, big_tail, 8)
 
 
+def test_local_g_short_tail_raises():
+    # c_3..c_7 read a_3..a_7, which a two-term tail does not carry; they must
+    # not be computed as if those coefficients were 0
+    with pytest.raises(DegenerateInput):
+        local_g(2, TruncatedSeries(base=0j, coeffs=(-3, -4.5)), 8)
+
+
 def test_local_primitive_square(phi1):
     # primitive of S_{z^2/(z-1)^2} at 0 starts z^2/2 after normalization
     series = local_primitive(phi1, 0, 12)

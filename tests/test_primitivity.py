@@ -22,7 +22,7 @@ from schwarzian import (
 )
 from schwarzian.primitivity import L_values, RATIONAL_VARIANTS
 
-from conftest import rand_complex, rational_close
+from conftest import paper_determinant, rand_complex, rational_close, series_b_hat
 
 
 def test_k_coefficients():
@@ -62,24 +62,45 @@ def test_y_polynomial_zeroes_determinant(rng):
         for _ in range(5):
             x = [rand_complex(rng) for _ in range(d - 1)]
             y = y_polynomial(d, x)
-            det = condition_determinant(d, x + [y])
+            det = paper_determinant(d, x + [y])
             scale = 1 + max(abs(v) for v in x + [y]) ** d
             assert abs(det) <= 1e-8 * scale
 
 
 def test_series_obstruction_matches_determinant(rng):
-    # nonzero proportionality between b_hat_d and the banded determinant
+    # b_hat_d against the independent series oracle, and its zero locus
+    # against the paper's dense determinant
     for d in (2, 3, 4):
         for _ in range(10):
             a = [rand_complex(rng) for _ in range(d + 1)]
             q = TruncatedSeries(base=0j, coeffs=tuple(a))
             b = series_obstruction(d, q)
-            det = condition_determinant(d, a[:d])
-            if abs(det) > 1e-8:
+            assert abs(b - series_b_hat(d, a)) <= 1e-12 * (1 + abs(b))
+            if abs(paper_determinant(d, a[:d])) > 1e-8:
                 assert abs(b) > 1e-12
             y = y_polynomial(d, a[: d - 1])
             q0 = TruncatedSeries(base=0j, coeffs=tuple(a[: d - 1] + [y] + a[d:]))
             assert abs(series_obstruction(d, q0)) <= 1e-8
+            assert abs(series_b_hat(d, a[: d - 1] + [y])) <= 1e-8
+
+
+def test_closed_forms_match_paper_forms():
+    # det = (-1)^(d-1) (prod k_j) r, b_hat = r / (2 d^2) and Y_d(x) = -r(x, 0)
+    # against the dense determinant and the series b_hat of conftest, for
+    # d = 1..60 and unit complex tails; Y_d is the root of the dense
+    # determinant, which is affine in a_d
+    rng = np.random.default_rng(1)
+    for d in range(1, 61):
+        for _ in range(3):
+            a = list(np.exp(2j * np.pi * rng.uniform(size=d)))
+            det = paper_determinant(d, a)
+            assert abs(condition_determinant(d, a) - det) <= 1e-11 * abs(det)
+            b = series_b_hat(d, a)
+            q = TruncatedSeries(base=0j, coeffs=tuple(a))
+            assert abs(series_obstruction(d, q) - b) <= 1e-13 * abs(b)
+            at0, at1 = (paper_determinant(d, a[:-1] + [t]) for t in (0j, 1 + 0j))
+            y = -at0 / (at1 - at0)
+            assert abs(y_polynomial(d, a[:-1]) - y) <= 1e-12 * (1 + abs(y))
 
 
 def test_series_obstruction_worked_values():
@@ -113,8 +134,20 @@ def test_classify_holonomy_obstructed():
     assert abs(h.obstruction - 0.125) <= 1e-12
 
 
+def test_classify_holonomy_reads_exactly_d_coefficients():
+    # r reads a_1..a_d, so a germ carrying exactly a_1, a_2 at d = 2 is decided
+    from schwarzian.quaddiff import LaurentData
+
+    for tail, kind, b_hat in (((-3, -4.5), HolonomyClass.IDENTITY, 0.0),
+                              ((0j, 1.0), HolonomyClass.PARABOLIC_OBSTRUCTED, 0.125)):
+        germ = LaurentData(pole=0j, leading=-1.5, residue_and_tail=tail)
+        q = TruncatedSeries(base=0j, coeffs=tail)
+        assert classify_holonomy(germ, q).kind == kind
+        assert abs(series_obstruction(2, q) - b_hat) <= 1e-12
+
+
 def test_classify_holonomy_short_tail_raises():
-    # d = 2 needs a_1..a_3; a short tail must not be read as zeros
+    # d = 2 needs a_1..a_2; a one-term tail must not be read as zeros
     from schwarzian.quaddiff import LaurentData
 
     germ = LaurentData(pole=0j, leading=-1.5, residue_and_tail=(0j,))
