@@ -26,7 +26,7 @@ DISTINCT_TOL = 1e-12  # points p, q coincide: x (1 + |p|); a cross ratio vs 0 an
 SINGULAR_TOL = 1e-14  # a Mobius matrix is singular: x (|ad| + |bc|), the rounding of det
 ROOT_ORDER_GRID = 1e-9  # spacing of the grid ordering roots: absolute, in units of z
 CLUSTER_RADIUS = 1e-4  # a root is in a cluster: x (1 + |its first root or the point asked|)
-GCD_TOL = 1e-8  # a monic Euclid remainder is 0: x 1; g divides p: x (1 + max |p_k|)
+GCD_TOL = 1e-8  # read by poly_gcd only: a remainder is 0: x 1; g divides p: x (1 + max |p_k|)
 # The paper's conditions: leading = (1 - d^2)/2, x (1 + |leading|); the resonant
 # equation, x (1 + max |a_1..a_d|); L_i = E_m = 0, x (1 + max |c_i|, |A_i|)^2.
 CRITERION_TOL = 1e-8
@@ -260,7 +260,9 @@ def root_clusters(p: Poly):
 
 
 def poly_resultant(p: Poly, q: Poly):
-    """Sylvester-matrix determinant; zero iff p and q share a root."""
+    """Sylvester-matrix determinant; zero iff p and q share a root.
+
+    Nothing in the package calls it; the benchmark's tracer wraps it by name."""
     if p.is_zero or q.is_zero:
         raise DegenerateInput("resultant needs nonzero polynomials")
     m, n = p.degree, q.degree
@@ -286,6 +288,9 @@ def poly_gcd(p: Poly, q: Poly):
     zero when its scale drops below GCD_TOL.  The candidate is verified by
     division; when that fails, p and q have roots too close to tell shared
     from distinct, and DegenerateInput is raised.
+
+    Nothing in the package calls it: a GCD at an absolute tolerance cancels
+    roots that are only close.  The benchmark's tracer wraps it by name.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else Poly.zero()
@@ -311,11 +316,16 @@ def _divides(p: Poly, g: Poly) -> bool:
 
 
 class RationalMap:
-    """Quotient of coprime polynomials with monic denominator."""
+    """num/den stored as given, with the denominator made monic.
+
+    Nothing is cancelled: a root shared by num and den stays in both (see
+    require_coprime for input that must not have one).  ``reduce`` has no
+    effect; it is accepted because the benchmark's workloads pass it.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, reduce=True):
+    def __init__(self, num, den, reduce=None):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero:
@@ -324,11 +334,6 @@ class RationalMap:
             self.num = Poly.zero()
             self.den = Poly.one()
             return
-        if reduce:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
         lead = den.lead
         self.num = Poly([c / lead for c in num.coeffs])
         self.den = den.monic()
@@ -468,6 +473,18 @@ def require_distinct(points, what, tol=DISTINCT_TOL):
                 collide = abs(complex(p) - complex(q)) <= tol * (1.0 + abs(complex(p)))
             if collide:
                 raise DegenerateInput(f"{what} must be pairwise distinct")
+
+
+def require_coprime(num: Poly, den: Poly, what):
+    """Raise DegenerateInput when num vanishes at a root r of den to within
+    the rounding of its terms, |num(r)| <= ROUNDING_TOL sum_k |num_k| |r|^k:
+    a backward-error test, free of the scale of z and of num."""
+    if num.is_zero or den.degree < 1:
+        return
+    for r in poly_roots(den):
+        terms = sum(abs(c) * abs(r) ** k for k, c in enumerate(num.coeffs))
+        if abs(num(r)) <= ROUNDING_TOL * terms:
+            raise DegenerateInput(f"{what} share a root")
 
 
 def mobius_from_triples(src, dst) -> Mobius:

@@ -109,7 +109,7 @@ def h_alpha(alpha) -> RationalMap:
         raise DegenerateInput("alpha^6 = 1 degenerates the family")
     num = Poly((2.0 * a, 0.0, 3.0, a))
     den = Poly((1.0, 3.0 * a, 0.0, 2.0))
-    return RationalMap(num, den, reduce=False)
+    return RationalMap(num, den)
 
 
 def four_group(points):

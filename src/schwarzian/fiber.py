@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (DEDUP_TOL, NEWTON_TOL, ROUNDING_TOL, UNIT_TOL, Poly, RationalMap,
-                      TruncatedSeries, _w, poly_roots, require_distinct, series_inv, series_mul)
+from .algebra import (DEDUP_TOL, NEWTON_TOL, UNIT_TOL, Poly, RationalMap, TruncatedSeries, _w,
+                      require_coprime, require_distinct, series_inv, series_mul)
 from .errors import DegenerateInput, ObstructionNonzero
 from .primitivity import _resonance_vanishes, g_recursion
 from .quaddiff import laurent_at
@@ -218,13 +218,11 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
 def coords_to_map(coords: NormalizedMapCoords) -> RationalMap:
     """f_a = p_a / q_a, the degree-(mu+1) rational map of the coordinates.
 
-    Raises when p vanishes at a root r of q to within the rounding of its
-    terms, |p(r)| <= ROUNDING_TOL sum_k |p_k| |r|^k, free of the scale of z."""
+    Raises when p and q share a root (require_coprime): the coordinates
+    are then outside Omega."""
     p, q = (Poly(c) for c in _pq(coords.mu, coords.vector()))
-    for r in poly_roots(q):
-        if abs(p(r)) <= ROUNDING_TOL * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs)):
-            raise DegenerateInput("p and q share a root; coordinates outside Omega")
-    return RationalMap(p, q, reduce=False)
+    require_coprime(p, q, "p and q")
+    return RationalMap(p, q)
 
 
 def reconstruct_rational(points, attempts: int | None = None, seed: int = 42):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 
-from .algebra import INF, Poly, RationalMap, is_inf
+from .algebra import INF, Poly, RationalMap, is_inf, require_coprime
 from .errors import DegenerateInput
 
 
@@ -19,16 +19,17 @@ def encode_complex(z):
     return [z.real, z.imag]
 
 
+def _is_number(v):
+    # bool is an int in Python, but JSON true/false are not numbers
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def decode_complex(obj):
     if obj == "inf":
         return INF
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         obj = (obj, 0)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) for v in obj)
-    ):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
         try:
             z = complex(obj[0], obj[1])
         except OverflowError:  # an integer beyond double range
@@ -56,9 +57,12 @@ def encode_rational(f: RationalMap):
 
 
 def decode_rational(obj):
+    """num/den as given; raises when they share a root (require_coprime)."""
     if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
         raise DegenerateInput("rational map must be {num: [...], den: [...]}")
-    return RationalMap(decode_poly(obj["num"]), decode_poly(obj["den"]))
+    num, den = decode_poly(obj["num"]), decode_poly(obj["den"])
+    require_coprime(num, den, "num and den")
+    return RationalMap(num, den)
 
 
 def encode_coords(coords):

@@ -193,14 +193,13 @@ def L_values(config: CriticalConfiguration):
 
 
 def build_phi(config: CriticalConfiguration) -> RationalMap:
-    """phi(z) = -(3/2) sum_i (A_i (z - c_i) + 1)/(z - c_i)^2, normalized; the
-    numerator at c_i is -(3/2) prod_{j != i} (c_i - c_j)^2 != 0, so no GCD."""
+    """phi(z) = -(3/2) sum_i (A_i (z - c_i) + 1)/(z - c_i)^2, normalized."""
     pts, prm = config.points, config.params
     num = Poly.zero()
     for i, (ci, ai) in enumerate(zip(pts, prm)):
         others = pts[:i] + pts[i + 1:]
         num = num + Poly((1.0 - ai * ci, ai)) * Poly.from_roots(others + others)
-    return RationalMap(-1.5 * num, Poly.from_roots(pts + pts), reduce=False)
+    return RationalMap(-1.5 * num, Poly.from_roots(pts + pts))
 
 
 @dataclass
@@ -307,8 +306,6 @@ def merom_generator(points, residues, G: Poly) -> RationalMap:
         raise DegenerateInput("points and residues must have equal length")
     require_distinct(pts, "critical points")
     den = Poly.from_roots(pts + pts)
-    # everything is assembled over the common denominator directly; no
-    # pairwise reduction, so no approximate GCD can misfire
     num = G * Poly.from_roots(pts) * den
     vs = _other_poles(pts, res, -1.5)
     for i, (ci, ri, vi) in enumerate(zip(pts, res, vs)):
@@ -316,4 +313,4 @@ def merom_generator(points, residues, G: Poly) -> RationalMap:
         ei_den = math.prod(ci - cj for cj in others)
         num = num + Poly((-1.5 - ri * ci, ri)) * Poly.from_roots(others + others)
         num = num + ((-0.5 * ri * ri - vi) / ei_den) * (Poly.from_roots(others) * den)
-    return RationalMap(num, den, reduce=False)
+    return RationalMap(num, den)

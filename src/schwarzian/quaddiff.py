@@ -6,8 +6,9 @@ W'd' - Wd'' = d(n''d' - n'd''),
 
     S_f = [ W''W - (3/2)W'^2 + 2W(n''d' - n'd'') ] / W^2
 
-with no division by d, so the reduced result has denominator W^2 up to
-common factors at multiple critical points.
+with no division by d.  A critical point c of multiplicity k is a root of W
+of order k and of the bracket of order 2k - 2, and S_f has a double pole
+there, so both are divided by (z - c)^(2k - 2); nothing else is cancelled.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def numerator_wronskian(f: RationalMap) -> Poly:
 
 
 def schwarzian(f: RationalMap) -> RationalMap:
-    """S_f = f'''/f' - (3/2)(f''/f')^2 as a normalized rational map."""
+    """S_f = f'''/f' - (3/2)(f''/f')^2 as a rational map whose denominator
+    is prod (z - c_i)^2 over the distinct finite critical points c_i: W^2
+    divided by prod (z - c_i)^(2k_i - 2), with (c_i, k_i) = root_clusters(W)."""
     if f.degree() < 1:
         raise DegenerateInput("constant map has no Schwarzian derivative")
     w = numerator_wronskian(f)
@@ -86,6 +89,10 @@ def schwarzian(f: RationalMap) -> RationalMap:
     wp = w.deriv()
     bracket = wp.deriv() * w - 1.5 * (wp * wp) \
         + 2.0 * (w * _wronskian(f.num.deriv(), f.den.deriv()))
+    g = Poly.from_roots([c for c, k in root_clusters(w) for _ in range(k - 1)])
+    if g.degree >= 1:
+        w = w.divmod(g)[0]
+        bracket = bracket.divmod(g * g)[0]
     return RationalMap(bracket, w * w)
 
 

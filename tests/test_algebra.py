@@ -20,6 +20,7 @@ from schwarzian import (
     poly_roots,
 )
 from schwarzian.algebra import riemann_close, series_inv, series_mul
+from schwarzian.jsonio import decode_rational, encode_poly
 
 from conftest import mobius_is_identity, rand_complex, rand_poly
 
@@ -118,12 +119,6 @@ def test_resultant_zero_iff_shared_root(rng):
             assert abs(res) > 1e-9
 
 
-def test_rational_normalize_common_factor():
-    f = RationalMap(Poly([-1, 0, 1]), Poly([-1, 1]))
-    assert f.num == Poly([1, 1])
-    assert f.den == Poly([1])
-
-
 def test_rational_normalize_monic_rescale():
     f = RationalMap(Poly([0, 2]), Poly([2]))
     assert f.num == Poly([0, 1])
@@ -148,8 +143,13 @@ def test_rational_normalize_rejects_undecidable_common_root():
     den = Poly.from_roots([1e-8, 1, -2, 1j])
     with pytest.raises(DegenerateInput):
         poly_gcd(num, den)
-    with pytest.raises(DegenerateInput):
-        RationalMap(num, den)
+    # RationalMap stores the pair as given; JSON input that shares the root
+    # 1 is rejected, and the root 0 near 1e-8 alone would not be
+    f = RationalMap(num, den)
+    assert f.num.degree == 2 and f.den.degree == 4
+    with pytest.raises(DegenerateInput, match="share a root"):
+        decode_rational({"num": encode_poly(num), "den": encode_poly(den)})
+    decode_rational({"num": encode_poly(Poly.from_roots([0, 3])), "den": encode_poly(den)})
 
 
 def test_mobius_apply_basic():

@@ -4,13 +4,16 @@
 (or, for ``Class.method``, through the class ``__dict__``), so a rename in
 ``src/`` that drops one of them breaks ``run.py --trace 1``.  The workloads
 and oracles call ``sw.<name>`` (``import schwarzian as sw``) and
-``jsonio.<name>``; a public name dropped from ``src/`` breaks those runs.
+``jsonio.<name>``; a public name dropped from ``src/``, or a keyword
+dropped from its signature, breaks those runs.
 The tracer also reads fields of the reports it sees, and the cli workload
 parses the solver's JSON.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -37,6 +40,27 @@ def _referenced_names():
     return sorted(names)
 
 
+def _resolve(name):
+    prefix, *attrs = name.split(".")
+    obj = importlib.import_module("schwarzian" if prefix == "sw" else "schwarzian.jsonio")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _keyword_calls():
+    """(sw.X or jsonio.X, keyword) for every keyword argument the workloads
+    and oracles pass to a package call."""
+    calls = set()
+    for path in (_BENCH / "workloads.py", _BENCH / "oracles.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if re.fullmatch(r"(sw|jsonio)\.[\w.]+", name):
+                    calls.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return sorted(calls)
+
+
 @pytest.mark.parametrize("name", _tracing().FUNCTIONS)
 def test_traced_function_resolves(name):
     mod_name, attr = name.split(".", 1)
@@ -54,10 +78,18 @@ def test_benchmark_finds_names():
 
 @pytest.mark.parametrize("name", _referenced_names())
 def test_referenced_name_resolves(name):
-    prefix, *attrs = name.split(".")
-    obj = importlib.import_module("schwarzian" if prefix == "sw" else "schwarzian.jsonio")
-    for attr in attrs:
-        obj = getattr(obj, attr)
+    _resolve(name)
+
+
+def test_benchmark_finds_keyword_calls():
+    assert ("sw.RationalMap", "reduce") in _keyword_calls()
+
+
+@pytest.mark.parametrize("name, keyword", _keyword_calls())
+def test_benchmark_keyword_is_a_parameter(name, keyword):
+    params = inspect.signature(_resolve(name)).parameters
+    assert keyword in params or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
 
 
 def test_fiber_counters_read_the_report():

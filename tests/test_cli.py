@@ -135,7 +135,7 @@ def test_check_merom_pass_and_one_shifted_pole(monkeypatch, capsys):
     # + 1e-3 * e_1(z), the Lagrange basis polynomial at pts[1], shifts a_2 at
     # pts[1] alone: a_2 at the other poles is untouched, and a_1 everywhere
     e1 = Poly.from_roots([pts[0], pts[2]]) * (1.0 / ((pts[1] - pts[0]) * (pts[1] - pts[2])))
-    shifted = RationalMap(psi.num + 1e-3 * (e1 * psi.den), psi.den, reduce=False)
+    shifted = RationalMap(psi.num + 1e-3 * (e1 * psi.den), psi.den)
     payload = {"phi": encode_rational(shifted), "mode": "merom"}
     code, out, _ = run_cli(monkeypatch, capsys, ["check"], payload)
     assert code == EXIT_OK
@@ -169,7 +169,7 @@ def test_check_rational_pass_and_fail(monkeypatch, capsys):
     for _ in range(5):
         pts = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         num = Poly(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        phi = RationalMap(num, Poly.from_roots(list(pts) * 2), reduce=False)
+        phi = RationalMap(num, Poly.from_roots(list(pts) * 2))
         code, out, _ = run_cli(monkeypatch, capsys, ["check"],
                                {"phi": encode_rational(phi), "mode": "polynomial"})
         assert code == EXIT_OK
@@ -356,6 +356,36 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
         code, out, err = run_cli(monkeypatch, capsys, argv, payload)
         assert (code, out) == (EXIT_DEGENERATE, None), argv
         assert err.startswith("error: ")
+
+
+def test_json_booleans_are_not_numbers(monkeypatch, capsys):
+    phi = {"num": [[1, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
+    for argv, payload in (
+        (["cubic"], {"points": [True, [0, 1], [-1, 0], [0, -1]]}),
+        (["check"], {"phi": phi, "mode": "local", "point": [False, False]}),
+    ):
+        code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+        assert (code, out) == (EXIT_DEGENERATE, None), argv
+        assert "not a finite complex scalar" in err
+
+
+def test_num_and_den_sharing_a_root_exit_3(monkeypatch, capsys):
+    # (z^2 - 1)/(z - 1) is stored as given, never reduced to z + 1
+    payload = {"num": [[-1, 0], [0, 0], [1, 0]], "den": [[-1, 0], [1, 0]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["schwarzian"], payload)
+    assert (code, out) == (EXIT_DEGENERATE, None)
+    assert "share a root" in err
+
+
+def test_check_local_keeps_a_numerator_root_near_the_pole(monkeypatch, capsys):
+    # (-4 + 1e13 z)/z^2: the numerator's root 4e-13 is near the pole 0 but
+    # not at it, so the pole stays double with leading -4 = (1 - 3^2)/2
+    phi = {"num": [[-4, 0], [1e13, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
+    code, out, _ = run_cli(monkeypatch, capsys, ["check"],
+                           {"phi": phi, "mode": "local", "point": [0, 0]})
+    assert code == EXIT_OK
+    assert out["local_degree"] == 3
+    assert complex(*out["leading"]) == -4
 
 
 def test_flag_validation(monkeypatch, capsys):
