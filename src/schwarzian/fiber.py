@@ -14,6 +14,8 @@ from .errors import DegenerateInput, ObstructionNonzero
 from .primitivity import _resonance_vanishes, g_recursion
 from .quaddiff import laurent_at
 
+STACK = 128  # starts stepped together: 64 catalan(3), a whole default mu = 2 solve
+
 
 def catalan(d: int) -> int:
     """u_d = C(2(d-1), d-1) / d."""
@@ -23,9 +25,11 @@ def catalan(d: int) -> int:
 
 
 def _pq(mu, x):
-    """Ascending coefficient arrays [a_p, 0, 1] and [a_q, 1] of p_a and q_a."""
+    """Ascending coefficient arrays [a_p, 0, 1] and [a_q, 1] of p_a and q_a,
+    stacked on the last axis as the coordinate vectors in x are."""
     x = np.asarray(x, dtype=complex)
-    return np.concatenate([x[:mu], [0, 1]]), np.concatenate([x[mu:], [1]])
+    zero, one = np.zeros((1,) + x.shape[1:]), np.ones((1,) + x.shape[1:])
+    return np.concatenate([x[:mu], zero, one]), np.concatenate([x[mu:], one])
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class FiberSolveReport:
     dilated target; it tends to 0 where the fiber is singular.  complete is
     True when the restarts found expected_max = catalan(mu+1) distinct
     solutions, the full count over a target with distinct roots; warning is
-    True when none converged.
+    True when none converged.  newton_steps is the number of Newton steps
+    summed over the starts, one per start per Jacobian solve.
     """
 
     target: Poly
@@ -72,6 +77,7 @@ class FiberSolveReport:
     residuals: list = field(default_factory=list)
     rconds: list = field(default_factory=list)
     expected_max: int = 0
+    newton_steps: int = 0
 
     @property
     def complete(self) -> bool:
@@ -121,60 +127,94 @@ def wronskian(coords: NormalizedMapCoords) -> Poly:
     return Poly(_w(*_pq(coords.mu, coords.vector())))
 
 
-def wronskian_jacobian(coords: NormalizedMapCoords):
-    """Jacobian of a -> (coefficients 0..2mu-1 of w_a), columns (a_p, a_q).
-
-    w is linear in p for fixed q and in q for fixed p, so the column of a_p[i]
-    is exactly _w(z^i, q) and the column of a_q[i] is _w(p, z^i).
-    """
-    mu = coords.mu
-    p, q = _pq(mu, coords.vector())
+def _tensor(mu):
+    """T[k, i, j] = coefficient k < 2mu of _w(z^i, z^j), for i <= mu+1 and j <= mu."""
     unit = np.eye(mu + 2)
-    cols = [_w(unit[i], q) for i in range(mu)] + [_w(p, unit[i, :-1]) for i in range(mu)]
-    return np.array(cols).T[: 2 * mu]
+    return np.array([[_w(unit[i], unit[j, :-1])[: 2 * mu] for j in range(mu + 1)]
+                     for i in range(mu + 2)]).transpose(2, 0, 1)
 
 
-def _newton_run(mu, target_vec, start):
-    def residual(x):
-        return _w(*_pq(mu, x))[: 2 * mu] - target_vec
+def _w_and_jacobian(tensor, x):
+    """Coefficients 0..2mu-1 of w_a and the Jacobian of a -> them, for each row a of x.
 
-    x = np.array(start, dtype=complex)
-    fx = residual(x)
-    res = float(np.max(np.abs(fx)))
+    w is bilinear: the column of a_p[i] is T(z^i, q_a), that of a_q[j] is
+    T(p_a, z^j), and w_a is the a_p-block contracted with p_a."""
+    mu = x.shape[-1] // 2
+    p, q = _pq(mu, x.T)
+    jac_p, jac_q = np.einsum("kij,jn->nki", tensor, q), np.einsum("kij,in->nkj", tensor, p)
+    jac = np.concatenate([jac_p[..., :mu], jac_q[..., :mu]], axis=-1)
+    return np.einsum("nki,in->nk", jac_p, p), jac
+
+
+def wronskian_jacobian(coords: NormalizedMapCoords):
+    """Jacobian of a -> (coefficients 0..2mu-1 of w_a), columns (a_p, a_q): the
+    one-row case of the stacked Jacobian the fiber solve steps with."""
+    return _w_and_jacobian(_tensor(coords.mu), coords.vector()[None])[1][0]
+
+
+def _solve_rows(jac, f):
+    """The Newton step of each row, NaN where its Jacobian is singular.  One
+    singular row makes a stacked solve raise, so that step is solved row by row."""
+    try:
+        return np.linalg.solve(jac, f[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(f) == 1:
+            return np.full_like(f, np.nan)
+        return np.concatenate([_solve_rows(jac[k : k + 1], f[k : k + 1]) for k in range(len(f))])
+
+
+def _newton(tensor, target_vec, x):
+    """Damped Newton on coeffs(w_a) = target_vec from every row of x, stepped together.
+
+    A row takes at most 100 steps, each halving up to 20 times to the first strict
+    decrease of its max-norm residual res, and leaves the stack at res 0, when no
+    halving decreases res, or rejected (res inf) at a singular Jacobian or a
+    non-finite step.  Returns (x, res, res <= NEWTON_TOL, steps), one step per row per solve."""
+    x = np.array(x, dtype=complex)
+    w, jac = _w_and_jacobian(tensor, x)
+    f = w - target_vec
+    res = np.max(np.abs(f), axis=1)
+    live = np.flatnonzero(res != 0.0)
+    steps = 0
     for _ in range(100):
         # Iterate to the rounding floor: singular fibers converge linearly and
         # the coordinate error goes like sqrt(residual).
-        if res == 0.0:
+        if not live.size:
             break
-        jac = wronskian_jacobian(NormalizedMapCoords.from_vector(mu, x))
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
+        steps += live.size
+        step = _solve_rows(jac[live], f[live])
+        finite = np.all(np.isfinite(step), axis=1)
+        res[live[~finite]] = np.inf
+        live, step = live[finite], step[finite]
+        searching = np.arange(live.size)
         lam = 1.0
         for _ in range(20):
-            x_new = x - lam * step
-            f_new = residual(x_new)
-            res_new = float(np.max(np.abs(f_new)))
-            if res_new < res:
+            rows = live[searching]
+            x_new = x[rows] - lam * step[searching]
+            w_new, jac_new = _w_and_jacobian(tensor, x_new)
+            f_new = w_new - target_vec
+            res_new = np.max(np.abs(f_new), axis=1)
+            down = res_new < res[rows]
+            done = rows[down]
+            x[done], f[done], res[done], jac[done] = (x_new[down], f_new[down], res_new[down],
+                                                      jac_new[down])
+            searching = searching[~down]
+            if not searching.size:
                 break
             lam *= 0.5
-        else:
-            break
-        x, fx, res = x_new, f_new, res_new
-    if res <= NEWTON_TOL:
-        return x, res
-    return None
+        live = np.delete(live, searching)
+        live = live[res[live] != 0.0]
+    return x, res, res <= NEWTON_TOL, steps
 
 
 def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> FiberSolveReport:
     """Newton restarts on a -> coeffs(w_a) over a monic even-degree target.
 
-    Deterministic for fixed (target, attempts, seed): per-start RNG streams
-    are derived from (seed, start index) and converged points are merged in
-    start-index order, deduplicated at max-norm distance DEDUP_TOL.
+    Deterministic for fixed (target, attempts, seed): each start draws from
+    its own RNG stream, derived from (seed, start index).  The starts step
+    together in stacks of STACK, and each row's iterates depend only on its
+    own start.  Converged points are merged in start-index order,
+    deduplicated at max-norm distance DEDUP_TOL.
     """
     if target.degree < 2 or target.degree % 2 != 0:
         raise DegenerateInput("target must be monic of even degree 2*mu >= 2")
@@ -196,22 +236,22 @@ def solve_fiber(target: Poly, attempts: int | None = None, seed: int = 42) -> Fi
     unscale = rho ** np.concatenate([e[:mu] + 1 - mu, e[mu:]])
     report = FiberSolveReport(target=target, attempts=attempts, seed=seed,
                               expected_max=catalan(mu + 1))
-    for start_index in range(attempts):
-        rng = np.random.default_rng([seed, start_index])
-        r = np.sqrt(rng.uniform(0.0, 1.0, size=2 * mu))
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * mu)
-        start = r * np.exp(1j * theta)
-        got = _newton_run(mu, target_vec, start)
-        if got is None:
-            continue
-        x, res = got
-        if any(np.max(np.abs(x - s.vector() / unscale)) <= DEDUP_TOL for s in report.solutions):
-            continue
-        jac = wronskian_jacobian(NormalizedMapCoords.from_vector(mu, x))
-        svals = np.linalg.svd(jac, compute_uv=False)
-        report.solutions.append(NormalizedMapCoords.from_vector(mu, x * unscale))
-        report.residuals.append(res)
-        report.rconds.append(float(svals[-1] / svals[0]))
+    tensor = _tensor(mu)
+    found = np.empty((0, 2 * mu), dtype=complex)
+    for first in range(0, attempts, STACK):
+        stack = range(first, min(first + STACK, attempts))
+        rngs = [np.random.default_rng([seed, start_index]) for start_index in stack]
+        r = np.sqrt([rng.uniform(0.0, 1.0, size=2 * mu) for rng in rngs])
+        theta = np.array([rng.uniform(0.0, 2.0 * np.pi, size=2 * mu) for rng in rngs])
+        x, res, accepted, steps = _newton(tensor, target_vec, r * np.exp(1j * theta))
+        report.newton_steps += steps
+        for k in np.flatnonzero(accepted):
+            if np.all(np.max(np.abs(found - x[k]), axis=1) > DEDUP_TOL):
+                found = np.vstack([found, x[k]])
+                report.residuals.append(float(res[k]))
+    report.solutions = [NormalizedMapCoords.from_vector(mu, v) for v in found * unscale]
+    svals = np.linalg.svd(_w_and_jacobian(tensor, found)[1], compute_uv=False)
+    report.rconds = (svals[:, -1] / svals[:, 0]).tolist()
     return report
 
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from schwarzian import J, Poly, RationalMap
-from schwarzian.algebra import series_div, series_mul
+from schwarzian import J, Poly, RationalMap, catalan
+from schwarzian.algebra import DEDUP_TOL, NEWTON_TOL, _w, series_div, series_mul
 
 
 def rand_complex(rng, scale=1.0):
@@ -135,6 +136,71 @@ def normalized_wronskian(x):
     q = npoly.polyadd(x[mu:], npoly.polypow([0, 1], mu))
     return npoly.polysub(npoly.polymul(npoly.polyder(p), q),
                          npoly.polymul(npoly.polyder(q), p))
+
+
+def per_start_newton(mu, target_vec, start):
+    """Reference: one damped Newton start on coeffs(w_a) = target_vec, with
+    np.convolve residuals and a Jacobian built column by column.  Returns
+    (x, res), or None when the start is rejected."""
+    def pq(x):
+        return np.concatenate([x[:mu], [0, 1]]), np.concatenate([x[mu:], [1]])
+
+    def residual(x):
+        return _w(*pq(x))[: 2 * mu] - target_vec
+
+    def jacobian(x):
+        p, q = pq(x)
+        unit = np.eye(mu + 2)
+        cols = [_w(unit[i], q) for i in range(mu)] + [_w(p, unit[i, :-1]) for i in range(mu)]
+        return np.array(cols).T[: 2 * mu]
+
+    x = np.array(start, dtype=complex)
+    fx = residual(x)
+    res = float(np.max(np.abs(fx)))
+    for _ in range(100):
+        if res == 0.0:
+            break
+        try:
+            step = np.linalg.solve(jacobian(x), fx)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        lam = 1.0
+        for _ in range(20):
+            x_new = x - lam * step
+            f_new = residual(x_new)
+            res_new = float(np.max(np.abs(f_new)))
+            if res_new < res:
+                break
+            lam *= 0.5
+        else:
+            break
+        x, fx, res = x_new, f_new, res_new
+    return (x, res) if res <= NEWTON_TOL else None
+
+
+def per_start_solutions(target: Poly, attempts=None, seed=42):
+    """Reference: the fiber solve one start at a time, each from its own
+    (seed, start index) stream over the target dilated to root scale 1,
+    merged in start-index order at max-norm distance DEDUP_TOL.  Returns the
+    solution vectors scaled back, in merge order."""
+    mu = target.degree // 2
+    attempts = 64 * catalan(mu + 1) if attempts is None else attempts
+    e = np.arange(2 * mu, 0, -1)
+    target_vec = np.array(target.coeffs[: 2 * mu])
+    binom = np.array([comb(2 * mu, j) for j in e], dtype=float)
+    rho = float(np.max((np.abs(target_vec) / binom) ** (1.0 / e))) or 1.0
+    unscale = rho ** np.concatenate([e[:mu] + 1 - mu, e[mu:]])
+    found = []
+    for start_index in range(attempts):
+        rng = np.random.default_rng([seed, start_index])
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=2 * mu))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=2 * mu)
+        got = per_start_newton(mu, target_vec / rho ** e, r * np.exp(1j * theta))
+        if got is not None and all(np.max(np.abs(got[0] - s)) > DEDUP_TOL for s in found):
+            found.append(got[0])
+    return [x * unscale for x in found]
 
 
 def partial_fraction_residues(phi: RationalMap, poles):

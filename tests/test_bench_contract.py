@@ -15,7 +15,10 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +109,17 @@ def test_fiber_report_is_strict_json_over_the_tetrahedron():
     _, report = reconstruct_rational([0, 1, J, J * J], attempts=8)
     assert len(report.solutions) == 1
     json.dumps(jsonio.encode_fiber_report(report), allow_nan=False)
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # `setup_s` times `import schwarzian` in a fresh interpreter; scipy,
+    # sympy, mpmath or hypothesis pulled in by a stray import would inflate it
+    code = ("import sys; before = set(sys.modules); import schwarzian; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = {**os.environ, "PYTHONPATH": str(_BENCH.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    loaded = out.stdout.split()
+    assert "schwarzian" in loaded
+    assert [m for m in loaded
+            if m not in sys.stdlib_module_names and m not in ("numpy", "schwarzian")] == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,13 @@ from schwarzian import (
     wronskian,
     wronskian_jacobian,
 )
+from schwarzian.algebra import DEDUP_TOL
+from schwarzian.fiber import _newton, _tensor
 
 from conftest import (
     normalized_wronskian,
+    per_start_newton,
+    per_start_solutions,
     rand_complex,
     series_schwarzian_laurent,
     tetrahedral_images,
@@ -215,6 +221,98 @@ def test_solve_fiber_count_bound(rng):
             for sol in report.solutions:
                 got = normalized_wronskian(sol.vector())[: 2 * mu]
                 assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def _reference_targets():
+    """(name, target, tolerance relative to 1 + |x|) for the stacked solve
+    against the per-start reference: centred targets at mu = 1..4, targets
+    scaled by 1e-2 and 1e2 and translated (the benchmark's scaled kind),
+    z^4 - 1, z^4 - 2z and a Mobius image of the regular tetrahedron."""
+    rng = np.random.default_rng(2026)
+
+    def cnormal(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    out = []
+    for mu in (1, 2, 3, 4):
+        pts = cnormal(2 * mu)
+        out.append((f"centred mu={mu}", Poly.from_roots(list(pts - pts.mean())), 1e-12))
+    for mu in (1, 2):
+        for scale in (1e-2, 1e2):
+            pts = cnormal(2 * mu) * scale + cnormal(1)[0]
+            out.append((f"scaled {scale:g} mu={mu}", Poly.from_roots(list(pts)), 1e-9))
+    out.append(("z^4 - 1", Poly([-1, 0, 0, 0, 1]), 1e-12))
+    out.append(("z^4 - 2z", Poly([0, -2, 0, 0, 1]), 1e-12))
+    # The fiber is singular here: Newton stops at a rounding floor where the
+    # coordinate error goes like sqrt(residual), so two summation orders
+    # agree only to about 1e-8; DEDUP_TOL is where the solver itself calls
+    # two points one.
+    (tetra,) = tetrahedral_images(np.random.default_rng(5), 1)
+    out.append(("tetrahedron", Poly.from_roots(tetra), DEDUP_TOL))
+    return out
+
+
+@pytest.mark.parametrize("target, tol", [pytest.param(target, tol, id=name)
+                                         for name, target, tol in _reference_targets()])
+def test_stacked_solve_matches_per_start_reference(target, tol):
+    want = per_start_solutions(target)
+    got = [s.vector() for s in solve_fiber(target).solutions]
+    assert len(got) == len(want) >= 1
+    for x, y in zip(want, got):
+        assert np.all(np.abs(x - y) <= tol * (1 + np.abs(x)))
+
+
+def test_singular_row_does_not_sink_its_stack():
+    # At a = 0, p = z^3 and q = z^2 share a root and row 0 of the Jacobian is
+    # zero, so one stacked solve raises for every row of the stack
+    mu = 2
+    tensor = _tensor(mu)
+    target = np.array([-1, 0, 0, 0], dtype=complex)
+    rng = np.random.default_rng(11)
+    r, theta = rng.uniform(size=(2, 8, 2 * mu))
+    starts = np.sqrt(r) * np.exp(2j * np.pi * theta)
+    starts[3] = 0
+    x, res, accepted, steps = _newton(tensor, target, starts)
+    assert not accepted[3] and per_start_newton(mu, target, starts[3]) is None
+    assert accepted.sum() >= 4
+    one_row_steps = 0
+    for k in range(len(starts)):
+        x1, res1, accepted1, steps1 = _newton(tensor, target, starts[k : k + 1])
+        assert accepted1[0] == accepted[k]
+        if k != 3:
+            assert np.array_equal(x1[0], x[k]) and res1[0] == res[k]
+        one_row_steps += steps1
+    assert steps == one_row_steps
+
+
+def test_solutions_at_more_attempts_extend_those_at_fewer():
+    target = Poly.from_roots([1, -1, 1j, -1j, 2 + 1j, -1 + 2j])
+    base = [s.vector() for s in solve_fiber(target, attempts=128).solutions]
+    assert base
+    for attempts in (200, 300):
+        more = [s.vector() for s in solve_fiber(target, attempts=attempts).solutions]
+        assert len(more) >= len(base)
+        assert all(np.array_equal(a, b) for a, b in zip(base, more))
+
+
+def test_solve_memory_does_not_grow_with_attempts():
+    target = Poly.from_roots([1, -0.5 + 0.9j, 0.3 - 1.1j, -0.8 + 0.2j])
+    solve_fiber(target, attempts=8)  # first-call allocations out of the way
+    peaks = []
+    for attempts in (128, 1024):
+        tracemalloc.start()
+        try:
+            solve_fiber(target, attempts=attempts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_newton_steps_repeat_under_a_seed():
+    target = Poly([0.3 - 0.1j, 1.2, -0.7j, 0.4, 1.0])
+    first, second = (solve_fiber(target, attempts=300, seed=7) for _ in range(2))
+    assert first.newton_steps == second.newton_steps > 0
 
 
 def test_rconds_vanish_over_the_tetrahedron_only():
