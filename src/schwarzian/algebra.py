@@ -189,18 +189,12 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero:
             raise DegenerateInput("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = self.degree - other.degree
         if dq < 0:
-            return Poly.zero(), Poly(rem)
-        quot = [0j] * (dq + 1)
-        dcoef = other.coeffs
-        for i in range(dq, -1, -1):
-            q = rem[i + len(dcoef) - 1] / dcoef[-1]
-            quot[i] = q
-            for k, c in enumerate(dcoef):
-                rem[i + k] -= q * c
-        return Poly(quot), Poly(rem)
+            return Poly.zero(), self
+        # Long division is series division of the reversed coefficients.
+        quot = Poly(series_div(self.coeffs[::-1], other.coeffs[::-1], dq + 1)[::-1])
+        return quot, self - quot * other
 
 
 def _w(p, q):
@@ -387,27 +381,23 @@ class TruncatedSeries:
 # Truncated power series helpers on plain coefficient lists (base 0).
 
 def series_mul(a, b, n):
-    # Both factors padded to n terms: coefficient k then sums the same
-    # products in the same order at every n.
-    a, b = (list(x[:n]) + [0j] * (n - len(x[:n])) for x in (a, b))
-    return np.convolve(a, b)[:n].tolist()
-
-
-def series_inv(a, n):
-    if abs(a[0]) == 0.0:
-        raise DegenerateInput("series inverse needs nonzero constant term")
-    out = [0j] * n
-    out[0] = 1.0 / a[0]
-    for k in range(1, n):
-        s = 0j
-        for i in range(1, min(k, len(a) - 1) + 1):
-            s += a[i] * out[k - i]
-        out[k] = -s / a[0]
-    return out
+    out = np.convolve(a[:n], b[:n])[:n].tolist()
+    return out + [0j] * (n - len(out))
 
 
 def series_div(a, b, n):
-    return series_mul(a, series_inv(b, n), n)
+    """u_0..u_{n-1} of a/b, the one division (also Poly.divmod's): u_k = (a_k -
+    b_j u_{k-j} - ... - b_1 u_{k-1}) / b_0 with j = min(k, len(b) - 1), high j
+    first.  u_k reads only a_0..a_k, so it is the same number at every n."""
+    if abs(b[0]) == 0.0:
+        raise DegenerateInput("series division needs a nonzero constant term")
+    u = []
+    for k in range(n):
+        s = a[k] if k < len(a) else 0j
+        for j in range(min(k, len(b) - 1), 0, -1):
+            s -= b[j] * u[k - j]
+        u.append(s / b[0])
+    return u
 
 
 class Mobius:

@@ -119,7 +119,7 @@ def cmd_check(payload, args):
             "local_degree": d,
         }
         if d is None:
-            out["verdict"] = "leading coefficient is not (1-d^2)/2 for integer d"
+            out["verdict"] = "leading coefficient is not (1-d^2)/2 for an integer d >= 1"
             out["holonomy"] = holonomy
             return out
         det = encode_complex(condition_determinant(d, germ.residue_and_tail))

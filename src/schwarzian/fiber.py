@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (DEDUP_TOL, NEWTON_TOL, UNIT_TOL, Poly, RationalMap, TruncatedSeries, _w,
-                      require_coprime, require_distinct, series_inv, series_mul)
+                      require_coprime, require_distinct, series_div, series_mul)
 from .errors import DegenerateInput, ObstructionNonzero
 from .primitivity import _resonance_vanishes, g_recursion
 from .quaddiff import laurent_at
@@ -111,11 +111,10 @@ def local_primitive(phi: RationalMap, c, order: int) -> TruncatedSeries:
     d = germ.local_degree_hint
     if d is None:
         raise DegenerateInput(
-            f"leading coefficient {germ.leading} is not (1-d^2)/2 for integer d")
+            f"leading coefficient {germ.leading} is not (1-d^2)/2 for an integer d >= 1")
     q = TruncatedSeries(base=complex(c), coeffs=germ.residue_and_tail)
     g = local_g(d, q, order)
-    g2 = series_mul(list(g.coeffs), list(g.coeffs), order)
-    h = series_inv(g2, order)
+    h = series_div([1.0], series_mul(g.coeffs, g.coeffs, order), order)
     coeffs = [0j] * (d + order)
     for k, hk in enumerate(h):
         coeffs[d + k] = hk / (d + k)

@@ -166,7 +166,7 @@ def classify_holonomy(germ: LaurentData, q_tail: TruncatedSeries) -> HolonomyCla
             return HolonomyClass(HolonomyClass.IDENTITY)
         return HolonomyClass(HolonomyClass.PARABOLIC_OBSTRUCTED, obstruction=r / (2.0 * d * d))
     delta = cmath.sqrt(1.0 - 2.0 * complex(germ.leading))
-    if delta.real < 0 or (abs(delta.real) < BRANCH_TOL and delta.imag < 0):
+    if abs(delta.real) < BRANCH_TOL and delta.imag < 0:
         delta = -delta
     multiplier = cmath.exp(2j * cmath.pi * delta)
     unitary = abs(abs(multiplier) - 1.0) <= UNIT_TOL

@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from schwarzian import J, Poly, RationalMap, catalan
-from schwarzian.algebra import DEDUP_TOL, NEWTON_TOL, _w, series_div, series_mul
+from schwarzian.algebra import DEDUP_TOL, NEWTON_TOL, _w
 
 
 def rand_complex(rng, scale=1.0):
@@ -80,8 +80,8 @@ def series_schwarzian_laurent(f_series, d, n_out):
     b = fp[d - 1 :]
     a = fpp[d - 2 :] if d >= 2 else fpp
     n = min(len(a), len(b))
-    c_ser = series_div(a, b, n)  # f''/f' = c(t)/t, c[0] = d-1
-    sq = series_mul(c_ser, c_ser, n)
+    c_ser = exact_series_div(a, b, n)  # f''/f' = c(t)/t, c[0] = d-1
+    sq = np.convolve(c_ser, c_ser)[:n]
     return [(m - 1) * c_ser[m] - sq[m] / 2.0 for m in range(min(n, n_out + 1))]
 
 
@@ -221,6 +221,53 @@ def partial_fraction_residues(phi: RationalMap, poles):
     return out
 
 
+def _gauss(z):
+    """A complex double as the exact complex rational (Fraction, Fraction)."""
+    z = complex(z)
+    return (Fraction(z.real), Fraction(z.imag))
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_div(a, b, n):
+    """The first n coefficients of the series a/b, on (Fraction, Fraction) pairs."""
+    norm = b[0][0] ** 2 + b[0][1] ** 2
+    inv0 = (b[0][0] / norm, -b[0][1] / norm)
+    quot = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else (Fraction(0), Fraction(0))
+        for j in range(1, min(k, len(b) - 1) + 1):
+            prod = _gauss_mul(b[j], quot[k - j])
+            acc = (acc[0] - prod[0], acc[1] - prod[1])
+        quot.append(_gauss_mul(acc, inv0))
+    return quot
+
+
+def exact_series_div(a, b, n):
+    """Independent oracle: the first n coefficients of the power series a/b
+    (ascending complex coefficients), divided in exact complex rationals
+    and rounded once at the end."""
+    quot = _gauss_div([_gauss(x) for x in a], [_gauss(x) for x in b], n)
+    return [complex(x[0], x[1]) for x in quot]
+
+
+def long_division_quotient(p, g):
+    """Reference: the quotient of p by g (ascending coefficients) by
+    schoolbook long division, top coefficient first, subtracting q * g
+    from a running remainder in place."""
+    rem = list(p)
+    dq = len(rem) - len(g)
+    quot = [0j] * (dq + 1)
+    for i in range(dq, -1, -1):
+        q = rem[i + len(g) - 1] / g[-1]
+        quot[i] = q
+        for k, c in enumerate(g):
+            rem[i + k] -= q * c
+    return quot
+
+
 def exact_laurent(phi: RationalMap, c, m, n_terms):
     """Independent oracle: the first n_terms coefficients of (z-c)^2 phi(z)
     about c, [leading, a_1, a_2, ...], for a pole of order m at c.
@@ -231,30 +278,18 @@ def exact_laurent(phi: RationalMap, c, m, n_terms):
     denominator coefficients are dropped, as for an exact root of order m.
     """
 
-    def mul(a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
     def shift(coeffs, z):
-        work = [(Fraction(x.real), Fraction(x.imag)) for x in map(complex, coeffs)]
+        work = [_gauss(x) for x in coeffs]
         for i in range(len(work)):
             for j in range(len(work) - 2, i - 1, -1):
-                prod = mul(z, work[j + 1])
+                prod = _gauss_mul(z, work[j + 1])
                 work[j] = (work[j][0] + prod[0], work[j][1] + prod[1])
         return work
 
-    c = complex(c)
-    z = (Fraction(c.real), Fraction(c.imag))
+    z = _gauss(c)
     num = shift(phi.num.coeffs, z)
     den = shift(phi.den.coeffs, z)[m:]
-    norm = den[0][0] ** 2 + den[0][1] ** 2
-    inv0 = (den[0][0] / norm, -den[0][1] / norm)
-    quot = []
-    for k in range(n_terms - (2 - m)):
-        acc = num[k] if k < len(num) else (Fraction(0), Fraction(0))
-        for j in range(1, min(k, len(den) - 1) + 1):
-            prod = mul(den[j], quot[k - j])
-            acc = (acc[0] - prod[0], acc[1] - prod[1])
-        quot.append(mul(acc, inv0))
+    quot = _gauss_div(num, den, n_terms - (2 - m))
     return ([0j] * (2 - m) + [complex(x[0], x[1]) for x in quot])[:n_terms]
 
 

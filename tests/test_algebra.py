@@ -19,10 +19,11 @@ from schwarzian import (
     poly_resultant,
     poly_roots,
 )
-from schwarzian.algebra import riemann_close, series_inv, series_mul
+from schwarzian.algebra import riemann_close, series_div, series_mul
 from schwarzian.jsonio import decode_rational, encode_poly
 
-from conftest import mobius_is_identity, rand_complex, rand_poly
+from conftest import (exact_series_div, long_division_quotient, mobius_is_identity, rand_complex,
+                      rand_poly)
 
 
 def test_poly_mul_difference_of_squares():
@@ -209,10 +210,66 @@ def test_poly_shift_is_taylor():
 
 def test_series_inverse():
     a = [1.0, 0.5, -0.25, 0.1]
-    inv = series_inv(a, 4)
+    inv = series_div([1.0], a, 4)
     prod = series_mul(a, inv, 4)
     assert abs(prod[0] - 1) <= 1e-14
     assert all(abs(c) <= 1e-14 for c in prod[1:])
+
+
+def _rand_series(rng, n, scale=1.0):
+    return [rand_complex(rng, scale) for _ in range(n)]
+
+
+def test_series_div_matches_exact_division(rng):
+    # (len a, len b, n, scale of b_0 against b_1..b_k): a shorter and longer
+    # than n, a constant b, and b_0 small against the rest.  Coefficient k
+    # may differ from the exact one by the rounding of the terms it sums,
+    # S_k = (|a_k| + sum_j |b_j| |u_(k-j)|) / |b_0| in exact values.
+    for la, lb, n, b0 in ((3, 4, 12, 1.0), (15, 3, 8, 1.0), (6, 1, 9, 1.0),
+                          (5, 5, 16, 1e-3), (1, 6, 10, 1e-2)):
+        for _ in range(4):
+            a, b = _rand_series(rng, la), _rand_series(rng, lb)
+            b[0] *= b0
+            got, want = series_div(a, b, n), exact_series_div(a, b, n)
+            assert len(got) == n
+            for k in range(n):
+                terms = (abs(a[k]) if k < la else 0.0) + sum(
+                    abs(b[j]) * abs(want[k - j]) for j in range(1, min(k, lb - 1) + 1))
+                assert abs(got[k] - want[k]) <= 1e-13 * terms / abs(b[0]), (la, lb, n, k)
+
+
+def test_series_div_terms_do_not_depend_on_n(rng):
+    for la, lb in ((4, 3), (9, 5), (1, 7)):
+        a, b = _rand_series(rng, la), _rand_series(rng, lb)
+        for n in (1, 4, 11):
+            assert series_div(a, b, n) == series_div(a, b, n + 5)[:n]
+
+
+def test_series_div_needs_nonzero_constant_term():
+    with pytest.raises(DegenerateInput):
+        series_div([1.0], [0j, 1.0], 3)
+
+
+def test_poly_divmod_quotient_is_long_division(rng):
+    pairs = []
+    for dp, dg in ((5, 2), (7, 3), (4, 4), (6, 1), (3, 0)):
+        q, g = rand_poly(rng, dp - dg), rand_poly(rng, dg)
+        pairs.append((q * g, g))  # an exact multiple, up to the product's rounding
+        pairs.append((rand_poly(rng, dp), g))
+    for p, g in pairs:
+        quot, rem = p.divmod(g)
+        assert quot == Poly(long_division_quotient(p.coeffs, g.coeffs))
+        assert rem.degree < g.degree
+        back = quot * g + rem
+        scale = 1.0 + max(p.scale(), (quot * g).scale())
+        assert len(back.coeffs) == len(p.coeffs)
+        assert all(abs(x - y) <= 1e-13 * scale for x, y in zip(back.coeffs, p.coeffs))
+    for p, g in pairs[::2]:
+        assert p.divmod(g)[1].scale() <= 1e-12 * (1.0 + p.scale())
+    assert Poly([1, 2]).divmod(Poly([1, 0, 1])) == (Poly.zero(), Poly([1, 2]))
+    # poly_gcd runs Euclid on divmod's remainders
+    g = poly_gcd(Poly.from_roots([1, 2, 3j]), Poly.from_roots([2, 3j, -1, 4]))
+    assert np.allclose(g.coeffs, Poly.from_roots([2, 3j]).coeffs, atol=1e-9)
 
 
 def test_rational_eval_at_infinity():

@@ -358,6 +358,32 @@ def test_degenerate_input_exit_code(monkeypatch, capsys):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("leading, holonomy", [(0.3, "Elliptic"),
+                                               (0.5, "ParabolicNonIntegerZero")])
+def test_check_local_without_a_local_degree(monkeypatch, capsys, leading, holonomy):
+    # leading/z^2 with leading not (1 - d^2)/2 for an integer d >= 1 (0.5 is
+    # d = 0): the verdict reads the leading term alone
+    phi = {"num": [[leading, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
+    code, out, _ = run_cli(monkeypatch, capsys, ["check"],
+                           {"phi": phi, "mode": "local", "point": [0, 0]})
+    assert code == EXIT_OK
+    assert out["local_degree"] is None
+    assert out["holonomy"] == holonomy
+    assert out["verdict"] == "leading coefficient is not (1-d^2)/2 for an integer d >= 1"
+    assert not {"determinant", "b_hat", "primitive_exists"} & set(out)
+
+
+def test_guards_on_payload_shape(monkeypatch, capsys):
+    square = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    for points in (square[:3], square + [[2, 0]]):
+        code, out, err = run_cli(monkeypatch, capsys, ["cubic"], {"points": points})
+        assert (code, out) == (EXIT_DEGENERATE, None)
+        assert "need exactly four points" in err
+    code, out, err = run_cli(monkeypatch, capsys, ["schwarzian"], [{"num": [[1, 0]]}])
+    assert (code, out) == (EXIT_PARSE, None)
+    assert "payload must be a JSON object" in err
+
+
 def test_json_booleans_are_not_numbers(monkeypatch, capsys):
     phi = {"num": [[1, 0]], "den": [[0, 0], [0, 0], [1, 0]]}
     for argv, payload in (

@@ -285,6 +285,11 @@ def test_singular_row_does_not_sink_its_stack():
     assert steps == one_row_steps
 
 
+def test_solve_fiber_needs_an_attempt():
+    with pytest.raises(DegenerateInput):
+        solve_fiber(Poly.from_roots([1, -1, 1j, -1j]), attempts=0)
+
+
 def test_solutions_at_more_attempts_extend_those_at_fewer():
     target = Poly.from_roots([1, -1, 1j, -1j, 2 + 1j, -1 + 2j])
     base = [s.vector() for s in solve_fiber(target, attempts=128).solutions]

@@ -187,6 +187,20 @@ def test_classify_holonomy_parabolic_zero():
     assert classify_holonomy(germ, q).kind == HolonomyClass.PARABOLIC_ZERO
 
 
+@pytest.mark.parametrize("leading", [1, 1 + 1e-20j, 1 - 1e-20j])
+def test_classify_holonomy_branch_on_the_imaginary_axis(leading):
+    # 1 - 2 leading is -1 up to a sign of Im: for 1 + 1e-20j, cmath.sqrt
+    # gives delta = 1e-20 - i, which the branch choice flips to +i, so all
+    # three read the multiplier e^(2 pi i delta) = e^(-2 pi)
+    from schwarzian.quaddiff import LaurentData
+
+    germ = LaurentData(pole=0j, leading=leading, residue_and_tail=(0j, 0j))
+    h = classify_holonomy(germ, TruncatedSeries(base=0j, coeffs=germ.residue_and_tail))
+    assert h.kind == HolonomyClass.ELLIPTIC
+    assert not h.unitary
+    assert abs(h.multiplier - 0.0018674427317079893) <= 1e-15
+
+
 def test_l_values_f1_configuration():
     config = CriticalConfiguration((0, 1), (2, -2))
     for l in L_values(config):
